@@ -1,9 +1,12 @@
 // Real wall-clock throughput of the seven from-scratch compressors on 4 KiB
-// pages of each corpus profile. Complements the virtual-time model constants:
-// the *orderings* (lz4 fastest ... deflate slowest; compression slower than
-// decompression) must hold for real too.
+// pages of the nci, dickens and binary profiles, plus the two other per-page
+// host costs of every store, load and fault: PageChecksum and FillPage.
+// Complements the virtual-time model constants: the *orderings* (lz4 fastest
+// ... deflate slowest; compression slower than decompression) must hold for
+// real too.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "src/common/units.h"
@@ -63,12 +66,41 @@ void BM_Decompress(benchmark::State& state) {
                  std::string(CorpusProfileName(profile)));
 }
 
+void BM_PageChecksum(benchmark::State& state) {
+  const auto pages = MakePages(CorpusProfile::kDickens, 16);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PageChecksum(pages[i % pages.size()]));
+    ++i;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kPageSize);
+}
+
+void BM_FillPage(benchmark::State& state) {
+  const auto profile = static_cast<CorpusProfile>(state.range(0));
+  std::vector<std::byte> page(kPageSize);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    FillPage(profile, seed++, page);
+    benchmark::DoNotOptimize(page.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kPageSize);
+  state.SetLabel(std::string(CorpusProfileName(profile)));
+}
+
 void RegisterAll() {
+  constexpr int kProfiles[] = {static_cast<int>(CorpusProfile::kNci),
+                               static_cast<int>(CorpusProfile::kDickens),
+                               static_cast<int>(CorpusProfile::kBinary)};
   for (int a = 0; a < kAlgorithmCount; ++a) {
-    for (int p : {0, 1}) {  // nci, dickens
+    for (int p : kProfiles) {
       benchmark::RegisterBenchmark("BM_Compress", BM_Compress)->Args({a, p});
       benchmark::RegisterBenchmark("BM_Decompress", BM_Decompress)->Args({a, p});
     }
+  }
+  benchmark::RegisterBenchmark("BM_PageChecksum", BM_PageChecksum);
+  for (int p : kProfiles) {
+    benchmark::RegisterBenchmark("BM_FillPage", BM_FillPage)->Arg(p);
   }
 }
 

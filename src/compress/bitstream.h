@@ -82,6 +82,30 @@ class BitReader {
     return value;
   }
 
+  // True when the next `count` bits are all real input, so reading them
+  // cannot set the exhausted flag.
+  bool HasBits(int count) const {
+    return !exhausted_ &&
+           static_cast<std::size_t>(filled_) + 8 * (in_.size() - pos_) >=
+               static_cast<std::size_t>(count);
+  }
+
+  // Returns the next `count` bits (count <= 32) without consuming them.
+  // Requires HasBits(count).
+  std::uint32_t Peek(int count) {
+    while (filled_ < count) {
+      acc_ |= static_cast<std::uint64_t>(in_[pos_++]) << filled_;
+      filled_ += 8;
+    }
+    return static_cast<std::uint32_t>(acc_ & ((1ull << count) - 1));
+  }
+
+  // Consumes `count` bits already buffered by Peek.
+  void Skip(int count) {
+    acc_ >>= count;
+    filled_ -= count;
+  }
+
   bool exhausted() const { return exhausted_; }
 
  private:

@@ -37,7 +37,10 @@ StatusOr<CorpusProfile> CorpusProfileFromName(std::string_view name);
 void FillPage(CorpusProfile profile, std::uint64_t seed, std::span<std::byte> out);
 
 // 64-bit content fingerprint for round-trip verification without storing the
-// original bytes.
+// original bytes, hashed eight bytes at a time. Values are only compared
+// within one process (the engine's round-trip checks, which also carry them
+// through CompressionCache entries) and never reach an export, digest or
+// figure, so the function may change without moving any output.
 std::uint64_t PageChecksum(std::span<const std::byte> data);
 
 }  // namespace tierscape

@@ -2,9 +2,11 @@
 // zstd-style compressors.
 //
 // Codes are emitted most-significant-bit first into the LSB-first BitWriter
-// (the encoder stores pre-reversed code words), and the decoder consumes one
-// bit at a time against the canonical first-code table, exactly like a
-// classic DEFLATE implementation.
+// (the encoder stores pre-reversed code words). The decoder resolves a code
+// of up to 10 bits with one lookup in a primary table indexed by the next 10
+// input bits; longer codes, invalid prefixes and the last bits of the input
+// fall back to a bit-serial walk of the canonical first-code table, like a
+// classic DEFLATE decoder.
 #ifndef SRC_COMPRESS_HUFFMAN_H_
 #define SRC_COMPRESS_HUFFMAN_H_
 
@@ -44,6 +46,13 @@ class HuffmanDecoder {
   int Decode(BitReader& reader) const;
 
  private:
+  static constexpr int kTableBits = 10;
+  static constexpr std::size_t kMaxTableSymbols = 1 << 12;  // 12 symbol bits per entry
+
+  // Indexed by the next kTableBits input bits, first bit read in bit 0:
+  // (symbol << 4) | length for codes of up to kTableBits bits, 0 where the
+  // bit-serial slow path decides.
+  std::uint16_t table_[1 << kTableBits] = {};
   std::uint16_t first_code_[kMaxHuffmanBits + 1] = {};
   std::uint16_t count_[kMaxHuffmanBits + 1] = {};
   std::uint16_t offset_[kMaxHuffmanBits + 1] = {};

@@ -2,7 +2,8 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
+
+#include "src/compress/lz_match.h"
 
 namespace tierscape {
 namespace {
@@ -21,16 +22,6 @@ inline std::uint32_t Load32(const std::byte* p) {
 
 inline std::uint32_t Hash4(std::uint32_t sequence) {
   return (sequence * 2654435761u) >> (32 - kHashBits);
-}
-
-// Length of the common prefix of [a, limit) and [b, ...).
-inline std::size_t MatchLength(const std::byte* a, const std::byte* b, const std::byte* limit) {
-  const std::byte* start = a;
-  while (a < limit && *a == *b) {
-    ++a;
-    ++b;
-  }
-  return static_cast<std::size_t>(a - start);
 }
 
 class SequenceEmitter {
@@ -112,9 +103,9 @@ StatusOr<std::size_t> CompressGeneric(std::span<const std::byte> src, std::span<
   // Fast path: single-slot hash table. HC path: hash heads + chain links.
   std::int32_t head[1 << kHashBits];
   std::memset(head, -1, sizeof(head));
-  std::vector<std::int32_t> chain;
+  std::span<std::int32_t> chain;
   if (high_compression) {
-    chain.assign(src.size(), -1);
+    chain = ChainScratch(src.size());
   }
 
   auto insert = [&](const std::byte* p) {
@@ -243,12 +234,7 @@ StatusOr<std::size_t> DecompressImpl(std::span<const std::byte> src, std::span<s
     if (out + match_len > out_end) {
       return Corruption("lz4: match overrun");
     }
-    // Byte-wise copy: overlapping matches (offset < match_len) are the RLE
-    // idiom and must replicate forward.
-    const std::byte* from = out - offset;
-    for (std::size_t i = 0; i < match_len; ++i) {
-      out[i] = from[i];
-    }
+    CopyMatch(out, offset, match_len);
     out += match_len;
   }
   if (out != out_end) {

@@ -2,7 +2,8 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
+
+#include "src/compress/lz_match.h"
 
 namespace tierscape {
 namespace {
@@ -98,7 +99,7 @@ StatusOr<std::size_t> CompressImpl(std::span<const std::byte> src, std::span<std
 
   std::int32_t head[1 << kHashBits];
   std::memset(head, -1, sizeof(head));
-  std::vector<std::int32_t> chain(src.size(), -1);
+  const std::span<std::int32_t> chain = ChainScratch(src.size());
   auto insert = [&](const std::byte* at) {
     const std::uint32_t h = Hash3(at);
     const auto ipos = static_cast<std::int32_t>(at - base);
@@ -142,18 +143,22 @@ StatusOr<std::size_t> CompressImpl(std::span<const std::byte> src, std::span<std
     }
     // Hash-chain match finder (bounded depth, greedy) — a better parse than
     // lz4's single probe is what gives lzo its slightly denser output.
+    // A candidate that differs at best_len cannot be strictly longer, so it
+    // is skipped unmeasured; nothing beats a match that reaches the end.
     std::size_t best_len = 0;
     std::size_t best_off = 0;
+    const auto limit = static_cast<std::size_t>(end - p);
     int depth = kMaxChain;
-    for (std::int32_t cand = head[Hash3(p)]; cand >= 0 && depth-- > 0; cand = chain[cand]) {
+    for (std::int32_t cand = head[Hash3(p)]; cand >= 0 && depth-- > 0 && best_len < limit;
+         cand = chain[cand]) {
       const std::byte* cp = base + cand;
       if (static_cast<std::size_t>(p - cp) > kMaxOffset) {
         break;
       }
-      std::size_t len = 0;
-      while (p + len < end && cp[len] == p[len]) {
-        ++len;
+      if (cp[best_len] != p[best_len]) {
+        continue;
       }
+      const std::size_t len = MatchLength(p, cp, end);
       if (len > best_len) {
         best_len = len;
         best_off = static_cast<std::size_t>(p - cp);
@@ -218,10 +223,7 @@ StatusOr<std::size_t> DecompressImpl(std::span<const std::byte> src, std::span<s
           out + len > out_end) {
         return Corruption("lzo: bad match");
       }
-      const std::byte* from = out - offset;
-      for (std::size_t i = 0; i < len; ++i) {
-        out[i] = from[i];
-      }
+      CopyMatch(out, offset, len);
       out += len;
     } else if (tag == kRunTag) {
       const std::size_t len = field + 4;

@@ -1,6 +1,7 @@
 #include "src/compress/zstd_like.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "src/compress/bitstream.h"
 #include "src/compress/codelen.h"
 #include "src/compress/huffman.h"
+#include "src/compress/lz_match.h"
 
 namespace tierscape {
 namespace {
@@ -27,15 +29,18 @@ struct ParseResult {
   std::vector<Sequence> sequences;
 };
 
-ParseResult Parse(std::span<const std::byte> src) {
+// Parses `src` into this thread's result buffers, which keep their capacity
+// from call to call.
+const ParseResult& Parse(std::span<const std::byte> src) {
   const std::byte* const base = src.data();
   const std::size_t n = src.size();
-  ParseResult result;
-  result.literals.reserve(n / 2);
+  thread_local ParseResult result;
+  result.literals.clear();
+  result.sequences.clear();
 
   std::int32_t head[1 << kHashBits];
   std::memset(head, -1, sizeof(head));
-  std::vector<std::int32_t> chain(n, -1);
+  const std::span<std::int32_t> chain = ChainScratch(n);
 
   auto hash = [&](std::size_t pos) {
     const std::uint32_t v = (static_cast<std::uint32_t>(base[pos]) << 16) |
@@ -52,19 +57,22 @@ ParseResult Parse(std::span<const std::byte> src) {
   std::size_t run_start = 0;
   std::size_t pos = 0;
   while (pos + kMinMatch <= n) {
+    // A candidate that differs at best_len cannot be strictly longer, so it
+    // is skipped unmeasured; nothing beats a match that reaches the end.
     std::size_t best_len = 0;
     std::size_t best_dist = 0;
+    const std::size_t limit = n - pos;
     int depth = kMaxChain;
-    for (std::int32_t cand = head[hash(pos)]; cand >= 0 && depth-- > 0; cand = chain[cand]) {
+    for (std::int32_t cand = head[hash(pos)]; cand >= 0 && depth-- > 0 && best_len < limit;
+         cand = chain[cand]) {
       const auto cpos = static_cast<std::size_t>(cand);
       if (pos - cpos > 65535) {
         break;  // chains are position-ordered; older candidates are farther
       }
-      std::size_t len = 0;
-      const std::size_t limit = n - pos;
-      while (len < limit && base[cpos + len] == base[pos + len]) {
-        ++len;
+      if (base[cpos + best_len] != base[pos + best_len]) {
+        continue;
       }
+      const std::size_t len = MatchLength(base + pos, base + cpos, base + n);
       if (len > best_len) {
         best_len = len;
         best_dist = pos - cpos;
@@ -115,20 +123,16 @@ std::uint32_t ReadLength(BitReader& reader) {
 // Offsets only need as many bits as the current output position allows —
 // within a 4 KiB page that is <= 12 bits instead of a fixed 16.
 int OffsetBits(std::size_t produced) {
-  int bits = 1;
-  while (((1ull << bits) - 1) < produced && bits < 16) {
-    ++bits;
-  }
-  return bits;
+  return std::clamp(static_cast<int>(std::bit_width(produced)), 1, 16);
 }
 
 }  // namespace
 
 StatusOr<std::size_t> ZstdCompressor::Compress(std::span<const std::byte> src,
                                                std::span<std::byte> dst) const {
-  const ParseResult parsed = Parse(src);
+  const ParseResult& parsed = Parse(src);
 
-  std::vector<std::uint32_t> freq(256, 0);
+  std::uint32_t freq[256] = {};
   for (std::byte b : parsed.literals) {
     ++freq[static_cast<std::size_t>(b)];
   }
@@ -167,6 +171,9 @@ StatusOr<std::size_t> ZstdCompressor::Decompress(std::span<const std::byte> src,
   BitReader reader(src);
   const std::uint32_t n_literals = reader.Read(24);
   const std::uint32_t n_sequences = reader.Read(24);
+  if (n_literals > dst.size()) {
+    return Corruption("zstd: more literals than output");  // every literal lands in dst
+  }
   std::uint8_t lengths[256];
   if (!ReadCodeLengths(reader, lengths)) {
     return Corruption("zstd: bad header");
@@ -198,24 +205,27 @@ StatusOr<std::size_t> ZstdCompressor::Decompress(std::span<const std::byte> src,
     if (reader.exhausted() || lit_pos + run > literals.size() || out + run > out_end) {
       return Corruption("zstd: bad sequence");
     }
-    std::memcpy(out, literals.data() + lit_pos, run);
+    // Zero-length copies are skipped: with no literals, literals.data() may
+    // be null, and memcpy from null is undefined even for zero bytes.
+    if (run > 0) {
+      std::memcpy(out, literals.data() + lit_pos, run);
+    }
     lit_pos += run;
     out += run;
     if (offset == 0 || offset > static_cast<std::size_t>(out - dst.data()) ||
         out + match_len > out_end) {
       return Corruption("zstd: bad match");
     }
-    const std::byte* from = out - offset;
-    for (std::uint32_t i = 0; i < match_len; ++i) {
-      out[i] = from[i];
-    }
+    CopyMatch(out, offset, match_len);
     out += match_len;
   }
   const std::size_t tail = literals.size() - lit_pos;
   if (out + tail != out_end) {
     return Corruption("zstd: short output");
   }
-  std::memcpy(out, literals.data() + lit_pos, tail);
+  if (tail > 0) {
+    std::memcpy(out, literals.data() + lit_pos, tail);
+  }
   return dst.size();
 }
 
