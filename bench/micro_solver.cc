@@ -3,7 +3,8 @@
 // churn-rate sweep. The paper reports OR-Tools consuming <0.3% of a CPU and
 // ~480 MB at paper scale; ROADMAP item 5 targets a >=10x warm-start win at
 // 10⁶ regions with <=5% bucket churn, which this bench asserts outside smoke
-// mode.
+// mode. Two cold DP cells time the budget DP at the shapes the analytical
+// policy solves every window (§6.4).
 //
 // Cells run through the experiment grid, so per-cell wall/solver/* metrics
 // land in $TIERSCAPE_BENCH_JSON (the perf trajectory across PRs) while
@@ -30,7 +31,7 @@ namespace {
 
 constexpr int kTiers = 6;  // the standard mix's tier count (§8.1)
 
-MckpProblem MakeProblem(std::size_t groups, double tightness, std::uint64_t seed) {
+MckpProblem MakeProblem(std::size_t groups, int choices, double tightness, std::uint64_t seed) {
   Rng rng(seed);
   MckpProblem problem;
   problem.groups.reserve(groups);
@@ -38,10 +39,10 @@ MckpProblem MakeProblem(std::size_t groups, double tightness, std::uint64_t seed
   double max_total = 0.0;
   for (std::size_t g = 0; g < groups; ++g) {
     std::vector<MckpChoice> group;
-    group.reserve(kTiers);
+    group.reserve(choices);
     double group_min = 1e18;
     double group_max = 0.0;
-    for (int k = 0; k < kTiers; ++k) {
+    for (int k = 0; k < choices; ++k) {
       MckpChoice choice{.cost = rng.NextDouble() * 1e6, .weight = rng.NextDouble()};
       group_min = std::min(group_min, choice.weight);
       group_max = std::max(group_max, choice.weight);
@@ -113,7 +114,7 @@ ExperimentResult RunCurveCell(const CurveCell& cell, Observability& obs,
   Gauge& wall_cold_ms = obs.metrics.GetGauge("wall/solver/cold_ms");
   Gauge& wall_warm_ms = obs.metrics.GetGauge("wall/solver/warm_ms");
 
-  MckpProblem problem = MakeProblem(cell.groups, 0.3, 42);
+  MckpProblem problem = MakeProblem(cell.groups, kTiers, 0.3, 42);
   MckpSolver::Options options;
   options.strategy = MckpSolver::Strategy::kGreedy;
   options.shards = cell.shards;
@@ -174,6 +175,47 @@ ExperimentResult RunCurveCell(const CurveCell& cell, Observability& obs,
   return result;
 }
 
+// A cold DP cell: `groups` x `choices` at the default options, where kAuto
+// picks the budget DP — the solve AnalyticalPolicy::Decide makes at every
+// window boundary.
+struct DpCell {
+  std::string label;
+  std::size_t groups = 0;
+  int choices = 0;
+};
+
+// Repeats the cold solve and records the median per-solve wall time; stdout
+// gets the deterministic total cost.
+ExperimentResult RunDpCell(const DpCell& cell, int solves, Observability& obs) {
+  ExperimentResult result;
+  result.workload = "mckp";
+  result.policy = cell.label;
+  Gauge& wall_solve_ms = obs.metrics.GetGauge("wall/solver/solve_ms");
+
+  const MckpProblem problem = MakeProblem(cell.groups, cell.choices, 0.3, 42);
+  MckpSolver solver;
+  std::vector<double> solve_ms;
+  double cost = 0.0;
+  for (int i = 0; i < solves; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    auto solution = solver.Solve(problem);
+    solve_ms.push_back(MsSince(start));
+    TS_CHECK(solution.ok()) << cell.label << ": " << solution.status().ToString();
+    TS_CHECK(solver.stats().used == MckpSolver::Strategy::kDp) << cell.label;
+    cost = solution->total_cost;
+  }
+  std::sort(solve_ms.begin(), solve_ms.end());
+  const double median_ms = solve_ms[solve_ms.size() / 2];
+  result.extras.emplace_back("groups", static_cast<double>(cell.groups));
+  result.extras.emplace_back("cold_cost", cost);
+  result.extras.emplace_back("last_cost", cost);
+  result.extras.emplace_back("shards", 1.0);
+  result.extras.emplace_back("dp_cells", static_cast<double>(solver.stats().dp_cells));
+  result.extras.emplace_back("wall_solve_ms", median_ms);
+  wall_solve_ms.Set(median_ms);
+  return result;
+}
+
 std::string ResultsTable(const std::vector<ExperimentResult>& results) {
   TablePrinter table({"cell", "groups", "cold cost", "last cost", "warm wins", "fallbacks",
                       "changed/win", "shards"});
@@ -229,6 +271,11 @@ int main() {
   }
   cells.push_back({"warm_sharded/n" + std::to_string(sizes.back()), sizes.back(), 0.05,
                    kWarmWindows, 8});
+  // memcached-ycsb's 26 regions on the 4-tier standard mix (2,049 buckets),
+  // and 256 regions x 6 tiers (4,097 buckets, still under kAuto's DP
+  // threshold).
+  const std::vector<DpCell> dp_cells = {{"dp/26x4", 26, 4}, {"dp/256x6", 256, 6}};
+  const int dp_solves = smoke ? 16 : 200;
 
   for (const CurveCell& cell : cells) {
     CellSpec spec;
@@ -238,9 +285,17 @@ int main() {
     };
     grid.Add(std::move(spec));
   }
+  for (const DpCell& cell : dp_cells) {
+    CellSpec spec;
+    spec.label = cell.label;
+    spec.run = [cell, dp_solves](Observability& obs, const CellContext&) {
+      return RunDpCell(cell, dp_solves, obs);
+    };
+    grid.Add(std::move(spec));
+  }
   const std::vector<ExperimentResult> results = grid.Run();
 
-  std::printf("Micro: MCKP solver scaling curve, cold vs warm vs sharded (%s)\n\n",
+  std::printf("Micro: MCKP solver scaling curve, cold vs warm vs sharded, and cold DP (%s)\n\n",
               smoke ? "smoke" : "full");
   std::printf("%s\n", ResultsTable(results).c_str());
 
@@ -266,6 +321,15 @@ int main() {
       TS_CHECK_GT(cold_ms / warm_ms, 10.0)
           << "warm-start speedup below 10x at 10^6 regions with 5% churn (ROADMAP item 5)";
     }
+  }
+  for (const DpCell& cell : dp_cells) {
+    const ExperimentResult* dp = FindCell(results, cell.label);
+    if (dp == nullptr) {
+      continue;
+    }
+    std::fprintf(stderr, "%s: cold DP %.3f ms/solve (median of %d, %.0f cells)\n",
+                 cell.label.c_str(), dp->Extra("wall_solve_ms"), dp_solves,
+                 dp->Extra("dp_cells"));
   }
   return 0;
 }

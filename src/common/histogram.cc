@@ -1,7 +1,6 @@
 #include "src/common/histogram.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "src/common/logging.h"
@@ -17,17 +16,6 @@ Histogram::Histogram(int sub_bucket_bits)
   buckets_.assign(64 * sub_bucket_count_, 0);
 }
 
-std::size_t Histogram::BucketIndex(std::uint64_t value) const {
-  if (value < sub_bucket_count_) {
-    return static_cast<std::size_t>(value);
-  }
-  const int msb = 63 - std::countl_zero(value);
-  const int shift = msb - sub_bucket_bits_;
-  const std::uint64_t sub = (value >> shift) - sub_bucket_count_;  // in [0, sub_bucket_count_)
-  const std::size_t range = static_cast<std::size_t>(msb - sub_bucket_bits_ + 1);
-  return range * sub_bucket_count_ + static_cast<std::size_t>(sub);
-}
-
 std::uint64_t Histogram::BucketMidpoint(std::size_t index) const {
   const std::size_t range = index / sub_bucket_count_;
   const std::uint64_t sub = index % sub_bucket_count_;
@@ -38,19 +26,6 @@ std::uint64_t Histogram::BucketMidpoint(std::size_t index) const {
   const std::uint64_t lo = (sub_bucket_count_ + sub) << shift;
   const std::uint64_t width = 1ULL << shift;
   return lo + width / 2;
-}
-
-void Histogram::Record(std::uint64_t value) { RecordN(value, 1); }
-
-void Histogram::RecordN(std::uint64_t value, std::uint64_t n) {
-  if (n == 0) {
-    return;
-  }
-  buckets_[BucketIndex(value)] += n;
-  count_ += n;
-  sum_ += value * n;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
 }
 
 void Histogram::Merge(const Histogram& other) {

@@ -6,6 +6,8 @@
 #ifndef SRC_COMMON_HISTOGRAM_H_
 #define SRC_COMMON_HISTOGRAM_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -17,8 +19,18 @@ class Histogram {
   // split into 2^sub_bucket_bits linear buckets.
   explicit Histogram(int sub_bucket_bits = 5);
 
-  void Record(std::uint64_t value);
-  void RecordN(std::uint64_t value, std::uint64_t count);
+  // Inline: the driver records every simulated op's latency.
+  void Record(std::uint64_t value) { RecordN(value, 1); }
+  void RecordN(std::uint64_t value, std::uint64_t count) {
+    if (count == 0) {
+      return;
+    }
+    buckets_[BucketIndex(value)] += count;
+    count_ += count;
+    sum_ += value * count;
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+  }
 
   // Merges another histogram with the same precision into this one.
   void Merge(const Histogram& other);
@@ -35,7 +47,16 @@ class Histogram {
   void Reset();
 
  private:
-  std::size_t BucketIndex(std::uint64_t value) const;
+  std::size_t BucketIndex(std::uint64_t value) const {
+    if (value < sub_bucket_count_) {
+      return static_cast<std::size_t>(value);
+    }
+    const int msb = 63 - std::countl_zero(value);
+    const int shift = msb - sub_bucket_bits_;
+    const std::uint64_t sub = (value >> shift) - sub_bucket_count_;  // in [0, sub_bucket_count_)
+    const std::size_t range = static_cast<std::size_t>(msb - sub_bucket_bits_ + 1);
+    return range * sub_bucket_count_ + static_cast<std::size_t>(sub);
+  }
   std::uint64_t BucketMidpoint(std::size_t index) const;
 
   int sub_bucket_bits_;

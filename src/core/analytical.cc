@@ -41,7 +41,18 @@ StatusOr<PlacementDecision> AnalyticalPolicy::Decide(const PlacementInput& input
                                                      const CostModel& model,
                                                      const DecisionContext& ctx) {
   (void)ctx;  // pins are enforced by the filter; see the header note
-  const auto start = std::chrono::steady_clock::now();
+  // Times every return path from entry — the alpha endpoints and a failed
+  // solve included — so last_solve_ms never carries an earlier call's value.
+  struct SolveTimer {
+    Stats& stats;
+    std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
+    ~SolveTimer() {
+      const auto elapsed = std::chrono::steady_clock::now() - start;
+      stats.last_solve_ms =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count() / 1e6;
+      stats.total_solve_ms += stats.last_solve_ms;
+    }
+  } timer{stats_};
   const int n_tiers = model.tiers().count();
 
   stats_.last_solver_used = false;
@@ -120,11 +131,7 @@ StatusOr<PlacementDecision> AnalyticalPolicy::Decide(const PlacementInput& input
   }
   stats_.last_marginal_gradient = gradient;
 
-  const auto elapsed = std::chrono::steady_clock::now() - start;
   ++stats_.solves;
-  stats_.last_solve_ms =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count() / 1e6;
-  stats_.total_solve_ms += stats_.last_solve_ms;
   stats_.last_groups = problem.groups.size();
   stats_.last_budget = problem.capacity;
   stats_.last_tco_min = tco_min;

@@ -19,8 +19,8 @@ class AnalyticalPolicy : public PlacementPolicy {
  public:
   struct Stats {
     std::uint64_t solves = 0;
-    double last_solve_ms = 0.0;    // real wall-clock of the last Solve call
-    double total_solve_ms = 0.0;
+    double last_solve_ms = 0.0;    // real wall-clock of the last Decide call
+    double total_solve_ms = 0.0;   // sum of every Decide call's last_solve_ms
     std::size_t last_groups = 0;
     double last_budget = 0.0;      // the TCO cap handed to the solver
     double last_tco_min = 0.0;

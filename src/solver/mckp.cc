@@ -615,41 +615,59 @@ StatusOr<MckpSolution> MckpSolver::SolveDp(const MckpProblem& problem,
     return q > static_cast<double>(buckets) ? buckets + 1 : static_cast<int>(q);
   };
 
+  const auto row = static_cast<std::size_t>(buckets) + 1;
+  std::size_t stride = 0;
+  for (const auto& group : problem.groups) {
+    stride = std::max(stride, group.size());
+  }
+
   // dp[b]: min cost over processed groups with quantized weight <= b.
-  std::vector<double> dp(buckets + 1, kInf);
-  std::vector<double> next(buckets + 1, kInf);
-  // pick[g * (buckets+1) + b]: chosen index for group g at budget b.
-  std::vector<std::uint8_t> pick(n_groups * (buckets + 1), 0xff);
-  dp.assign(buckets + 1, 0.0);
+  std::vector<double>& dp = dp_;
+  std::vector<double>& next = dp_next_;
+  dp.assign(row, 0.0);
+  next.resize(row);
+  // pick[g * row + b]: chosen index for group g at budget b.
+  std::vector<std::uint8_t>& pick = dp_pick_;
+  pick.assign(n_groups * row, 0xff);
+  // quantized[g * stride + k]: quantized weight of kept choice k of group g.
+  std::vector<int>& quantized = dp_quantized_;
+  quantized.resize(n_groups * stride);
 
   for (std::size_t g = 0; g < n_groups; ++g) {
     const auto& group = problem.groups[g];
     const std::vector<int>& keep = pruning.dominant[g];
     TS_CHECK_LE(group.size(), std::size_t{0xff});
     std::fill(next.begin(), next.end(), kInf);
-    for (int b = 0; b <= buckets; ++b) {
-      double best = kInf;
-      int best_k = -1;
-      // Dominated choices are cost-neutral to skip: dp[] is non-increasing in
-      // b and quantize() is monotone in weight, so a dominator's candidate is
-      // always <= the dominated choice's, and keep-first preserves the
-      // first-index tie-break below.
-      for (const int k : keep) {
-        const int wq = quantize(group[k].weight);
-        if (wq > b) {
-          continue;
-        }
-        const double cand = dp[b - wq] + group[k].cost;
-        if (cand < best) {
-          best = cand;
-          best_k = k;
-        }
+    // Raw row pointers: a store through pick_g (a byte pointer) may alias any
+    // object, so vector members read in the loop would be reloaded per cell.
+    const double* const prev = dp.data();
+    double* const best = next.data();
+    std::uint8_t* const pick_g = pick.data() + g * row;
+    // Choice-major: each kept choice sweeps the contiguous span of buckets it
+    // fits in (a choice quantized past the budget reaches none). Every bucket
+    // still sees its candidates in ascending index order against a running
+    // minimum that starts at (+inf, 0xff), and only a strictly smaller
+    // candidate replaces it, so the picks and costs are bit-identical to a
+    // bucket-by-bucket first-index-tie-break scan (DpKernelTest.* keeps one).
+    //
+    // Dominated choices are cost-neutral to skip: dp[] is non-increasing in
+    // b and quantize() is monotone in weight, so a dominator's candidate is
+    // always <= the dominated choice's, and keep-first preserves the
+    // first-index tie-break.
+    for (const int k : keep) {
+      const int wq = quantize(group[k].weight);
+      quantized[g * stride + k] = wq;
+      const double cost = group[k].cost;
+      const auto choice = static_cast<std::uint8_t>(k);
+      for (int b = wq; b <= buckets; ++b) {
+        const double cand = prev[b - wq] + cost;
+        const bool better = cand < best[b];
+        best[b] = better ? cand : best[b];
+        pick_g[b] = better ? choice : pick_g[b];
       }
-      next[b] = best;
-      pick[g * (buckets + 1) + b] = best_k < 0 ? 0xff : static_cast<std::uint8_t>(best_k);
     }
     dp.swap(next);
-    stats_.dp_cells += static_cast<std::size_t>(buckets + 1) * keep.size();
+    stats_.dp_cells += row * keep.size();
   }
   if (!std::isfinite(dp[buckets])) {
     return ResourceExhausted("mckp: no feasible assignment at this resolution");
@@ -660,10 +678,10 @@ StatusOr<MckpSolution> MckpSolver::SolveDp(const MckpProblem& problem,
   solution.choice.assign(n_groups, 0);
   int b = buckets;
   for (std::size_t g = n_groups; g-- > 0;) {
-    const std::uint8_t k = pick[g * (buckets + 1) + b];
+    const std::uint8_t k = pick[g * row + b];
     TS_CHECK(k != 0xff);
     solution.choice[g] = k;
-    b -= quantize(problem.groups[g][k].weight);
+    b -= quantized[g * stride + k];
   }
   FreshTotals(problem, solution);
   solution.optimal = true;

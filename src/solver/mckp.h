@@ -41,7 +41,8 @@
 //
 // The paper reports its ILP consumes <0.3% of a CPU and ~480 MB (§8.4);
 // bench/micro_solver reproduces the equivalent measurement for this solver
-// and extends it into a 10³→10⁶-region cold/warm/sharded scaling curve.
+// and extends it into a 10³→10⁶-region cold/warm/sharded scaling curve, plus
+// cold DP cells at the analytical policy's per-window shapes.
 #ifndef SRC_SOLVER_MCKP_H_
 #define SRC_SOLVER_MCKP_H_
 
@@ -226,6 +227,14 @@ class MckpSolver {
   Options options_;
   SolveStats stats_;
   FaultInjector* fault_ = nullptr;
+  // SolveDp scratch, reused across solves: a per-window caller solves the
+  // same shape every window. dp_/dp_next_ are the recurrence's two rows,
+  // dp_pick_ the per-(group, bucket) choice, and dp_quantized_ the quantized
+  // weight of every kept choice (group-major, one stride per group).
+  std::vector<double> dp_;
+  std::vector<double> dp_next_;
+  std::vector<std::uint8_t> dp_pick_;
+  std::vector<int> dp_quantized_;
 };
 
 // Checks that a solution is well-formed and within capacity.

@@ -12,6 +12,7 @@
 #include "src/core/tier_specs.h"
 #include "src/core/ts_daemon.h"
 #include "src/core/waterfall.h"
+#include "src/fault/fault_injector.h"
 
 namespace tierscape {
 namespace {
@@ -212,6 +213,40 @@ TEST_F(CostModelFixture, AnalyticalMidAlphaRecordsBudgetStats) {
   EXPECT_GT(policy.stats().last_tco_max, policy.stats().last_tco_min);
   EXPECT_GE(policy.stats().last_budget, policy.stats().last_tco_min);
   EXPECT_LE(policy.stats().last_budget, policy.stats().last_tco_max);
+}
+
+TEST_F(CostModelFixture, AnalyticalTimesEveryDecide) {
+  // last_solve_ms describes the call that just returned — alpha endpoints and
+  // failed solves included — and total_solve_ms is the sum of those values. A
+  // stale last_solve_ms would be counted twice in `running`.
+  FaultConfig timeout_config;
+  timeout_config.seed = 5;
+  timeout_config.solver_timeout_rate = 1.0;
+  FaultInjector timeout(timeout_config);
+  FaultConfig infeasible_config;
+  infeasible_config.seed = 5;
+  infeasible_config.solver_infeasible_rate = 1.0;
+  FaultInjector infeasible(infeasible_config);
+
+  AnalyticalPolicy policy(0.5);
+  double running = 0.0;
+  const auto decide = [&](double alpha, FaultInjector* fault, bool expect_ok) {
+    policy.set_alpha(alpha);
+    policy.set_fault_injector(fault);
+    const auto decision = policy.Decide(MakeInput(3, 0.0), *model_, DecisionContext{});
+    EXPECT_EQ(decision.ok(), expect_ok) << "alpha " << alpha;
+    EXPECT_GE(policy.stats().last_solve_ms, 0.0);
+    running += policy.stats().last_solve_ms;
+    EXPECT_EQ(policy.stats().total_solve_ms, running) << "alpha " << alpha;
+  };
+  decide(0.5, nullptr, true);        // solved
+  decide(1.0, nullptr, true);        // endpoint: all DRAM
+  decide(0.5, &timeout, false);      // injected kSolverTimeout
+  decide(0.0, nullptr, true);        // endpoint: cheapest tiers
+  decide(0.5, &infeasible, false);   // injected kSolverInfeasible
+  decide(0.5, &infeasible, false);   // two failures in a row
+  decide(0.5, nullptr, true);        // solved again
+  EXPECT_EQ(policy.stats().solves, 4u);  // failed solves are not counted
 }
 
 TEST_F(CostModelFixture, AnalyticalPrefersDramForHotRegions) {

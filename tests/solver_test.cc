@@ -2,8 +2,12 @@
 // small instances (both strategies), budget handling, and edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -43,7 +47,9 @@ double BruteForce(const MckpProblem& problem) {
   return best;
 }
 
-MckpProblem RandomProblem(Rng& rng, int groups, int choices) {
+// Integer costs and weights in [0, range): exact ties are common, and the
+// smaller the range the more of them.
+MckpProblem RandomProblem(Rng& rng, int groups, int choices, std::uint64_t range = 1000) {
   MckpProblem problem;
   double min_weight_total = 0.0;
   double max_weight_total = 0.0;
@@ -53,8 +59,8 @@ MckpProblem RandomProblem(Rng& rng, int groups, int choices) {
     double group_max = 0.0;
     for (int k = 0; k < choices; ++k) {
       MckpChoice choice;
-      choice.cost = static_cast<double>(rng.NextBelow(1000));
-      choice.weight = static_cast<double>(rng.NextBelow(1000));
+      choice.cost = static_cast<double>(rng.NextBelow(range));
+      choice.weight = static_cast<double>(rng.NextBelow(range));
       group_min = std::min(group_min, choice.weight);
       group_max = std::max(group_max, choice.weight);
       group.push_back(choice);
@@ -65,6 +71,38 @@ MckpProblem RandomProblem(Rng& rng, int groups, int choices) {
   }
   problem.capacity =
       min_weight_total + rng.NextDouble() * (max_weight_total - min_weight_total);
+  return problem;
+}
+
+// Budget at `alpha` between the minimum- and maximum-weight assignments.
+double CapacityAt(const MckpProblem& problem, double alpha) {
+  double min_total = 0.0;
+  double max_total = 0.0;
+  for (const auto& group : problem.groups) {
+    double group_min = 1e18;
+    double group_max = 0.0;
+    for (const auto& choice : group) {
+      group_min = std::min(group_min, choice.weight);
+      group_max = std::max(group_max, choice.weight);
+    }
+    min_total += group_min;
+    max_total += group_max;
+  }
+  return min_total + alpha * (max_total - min_total);
+}
+
+// Real-valued costs below 1e6 and weights below 1, like the analytical
+// policy's perf costs and TCO weights; budget at `tightness` (CapacityAt).
+MckpProblem RealValuedProblem(Rng& rng, int groups, int choices, double tightness) {
+  MckpProblem problem;
+  for (int g = 0; g < groups; ++g) {
+    std::vector<MckpChoice> group;
+    for (int k = 0; k < choices; ++k) {
+      group.push_back({.cost = rng.NextDouble() * 1e6, .weight = rng.NextDouble()});
+    }
+    problem.groups.push_back(std::move(group));
+  }
+  problem.capacity = CapacityAt(problem, tightness);
   return problem;
 }
 
@@ -183,24 +221,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GreedyQualityTest, ::testing::Range(0, 5));
 TEST(MckpSolverTest, LargeInstanceSolvesQuickly) {
   // Paper-scale: thousands of regions x 6 tiers (§8.4 reports <0.3% CPU).
   Rng rng(3);
-  MckpProblem problem;
-  double min_total = 0.0;
-  double max_total = 0.0;
-  for (int g = 0; g < 4000; ++g) {
-    std::vector<MckpChoice> group;
-    double group_min = 1e18;
-    double group_max = 0.0;
-    for (int k = 0; k < 6; ++k) {
-      MckpChoice choice{.cost = rng.NextDouble() * 1e6, .weight = rng.NextDouble()};
-      group_min = std::min(group_min, choice.weight);
-      group_max = std::max(group_max, choice.weight);
-      group.push_back(choice);
-    }
-    min_total += group_min;
-    max_total += group_max;
-    problem.groups.push_back(std::move(group));
-  }
-  problem.capacity = min_total + 0.3 * (max_total - min_total);
+  const MckpProblem problem = RealValuedProblem(rng, 4000, 6, 0.3);
   MckpSolver solver;
   auto solution = solver.Solve(problem);
   ASSERT_TRUE(solution.ok());
@@ -213,22 +234,10 @@ TEST(MckpSolverTest, AlphaSweepMonotonicity) {
   // monotone TCO/perf trade-off (Fig. 5/10) rests on this.
   Rng rng(17);
   const MckpProblem base = RandomProblem(rng, 8, 5);
-  double min_total = 0.0;
-  double max_total = 0.0;
-  for (const auto& group : base.groups) {
-    double group_min = 1e18;
-    double group_max = 0.0;
-    for (const auto& choice : group) {
-      group_min = std::min(group_min, choice.weight);
-      group_max = std::max(group_max, choice.weight);
-    }
-    min_total += group_min;
-    max_total += group_max;
-  }
   double previous_cost = std::numeric_limits<double>::infinity();
   for (double alpha = 0.0; alpha <= 1.0001; alpha += 0.1) {
     MckpProblem problem = base;
-    problem.capacity = min_total + alpha * (max_total - min_total);
+    problem.capacity = CapacityAt(base, alpha);
     MckpSolver solver;
     auto solution = solver.Solve(problem);
     ASSERT_TRUE(solution.ok()) << "alpha " << alpha;
@@ -241,24 +250,7 @@ TEST(MckpSolverTest, DpRoundingLossBoundedAtScale) {
   // At 1024 groups the DP's cumulative weight round-up must stay small
   // enough that greedy cannot beat it by more than a few percent.
   Rng rng(55);
-  MckpProblem problem;
-  double min_total = 0.0;
-  double max_total = 0.0;
-  for (int g = 0; g < 1024; ++g) {
-    std::vector<MckpChoice> group;
-    double group_min = 1e18;
-    double group_max = 0.0;
-    for (int k = 0; k < 6; ++k) {
-      MckpChoice choice{.cost = rng.NextDouble() * 1e6, .weight = rng.NextDouble()};
-      group_min = std::min(group_min, choice.weight);
-      group_max = std::max(group_max, choice.weight);
-      group.push_back(choice);
-    }
-    min_total += group_min;
-    max_total += group_max;
-    problem.groups.push_back(std::move(group));
-  }
-  problem.capacity = min_total + 0.3 * (max_total - min_total);
+  const MckpProblem problem = RealValuedProblem(rng, 1024, 6, 0.3);
   MckpSolver::Options dp_options;
   dp_options.strategy = MckpSolver::Strategy::kDp;
   MckpSolver dp(dp_options);
@@ -410,23 +402,222 @@ TEST(MckpSolverTest, StatsResetPerSolve) {
   EXPECT_EQ(solver.stats().greedy_moves, 0u);
 }
 
-// --- Warm-start incremental solving (DESIGN.md §4e) ---
+// --- DP kernel reference ---
 
-double CapacityAt(const MckpProblem& problem, double alpha) {
-  double min_total = 0.0;
-  double max_total = 0.0;
-  for (const auto& group : problem.groups) {
-    double group_min = 1e18;
-    double group_max = 0.0;
-    for (const auto& choice : group) {
-      group_min = std::min(group_min, choice.weight);
-      group_max = std::max(group_max, choice.weight);
-    }
-    min_total += group_min;
-    max_total += group_max;
-  }
-  return min_total + alpha * (max_total - min_total);
+struct ReferenceDpResult {
+  bool feasible = false;  // false: no assignment fits at this resolution
+  std::vector<int> choice;
+  double total_cost = 0.0;
+  double total_weight = 0.0;
+};
+
+// MckpSolver's EffectiveBuckets: 16 buckets per group, clamped to
+// [dp_buckets, dp_buckets_max].
+int ReferenceBuckets(std::size_t n_groups, const MckpSolver::Options& options) {
+  return static_cast<int>(std::min<std::size_t>(
+      std::max<std::size_t>(16 * n_groups, options.dp_buckets), options.dp_buckets_max));
 }
+
+// Test-local reference for SolveDp: the bucket-by-bucket recurrence, in which
+// every (bucket, choice) cell re-quantizes its weight, every group is scanned
+// unpruned in ascending index order, and each bucket keeps the first strictly
+// smallest candidate. Bucket count, reconstruction, and the FreshTotals
+// summation order are the solver's.
+ReferenceDpResult ReferenceSolveDp(const MckpProblem& problem,
+                                   const MckpSolver::Options& options) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::size_t n_groups = problem.groups.size();
+  const int buckets = ReferenceBuckets(n_groups, options);
+  const double width =
+      problem.capacity > 0.0 ? problem.capacity / static_cast<double>(buckets) : 1.0;
+  auto quantize = [&](double weight) -> int {
+    if (weight <= 0.0) {
+      return 0;
+    }
+    if (problem.capacity <= 0.0) {
+      return buckets + 1;
+    }
+    const double q = std::ceil(weight / width - 1e-12);
+    return q > static_cast<double>(buckets) ? buckets + 1 : static_cast<int>(q);
+  };
+  std::vector<double> dp(buckets + 1, 0.0);
+  std::vector<double> next(buckets + 1, inf);
+  std::vector<std::uint8_t> pick(n_groups * (buckets + 1), 0xff);
+  for (std::size_t g = 0; g < n_groups; ++g) {
+    const auto& group = problem.groups[g];
+    for (int b = 0; b <= buckets; ++b) {
+      double best = inf;
+      int best_k = -1;
+      for (std::size_t k = 0; k < group.size(); ++k) {
+        const int wq = quantize(group[k].weight);
+        if (wq > b) {
+          continue;
+        }
+        const double cand = dp[b - wq] + group[k].cost;
+        if (cand < best) {
+          best = cand;
+          best_k = static_cast<int>(k);
+        }
+      }
+      next[b] = best;
+      pick[g * (buckets + 1) + b] = best_k < 0 ? 0xff : static_cast<std::uint8_t>(best_k);
+    }
+    dp.swap(next);
+  }
+  ReferenceDpResult result;
+  if (!std::isfinite(dp[buckets])) {
+    return result;
+  }
+  result.feasible = true;
+  result.choice.assign(n_groups, 0);
+  int b = buckets;
+  for (std::size_t g = n_groups; g-- > 0;) {
+    const std::uint8_t k = pick[g * (buckets + 1) + b];
+    EXPECT_NE(k, 0xff);
+    result.choice[g] = k;
+    b -= quantize(problem.groups[g][k].weight);
+  }
+  for (std::size_t g = 0; g < n_groups; ++g) {
+    result.total_cost += problem.groups[g][result.choice[g]].cost;
+    result.total_weight += problem.groups[g][result.choice[g]].weight;
+  }
+  return result;
+}
+
+// The kDp solver, pruned and unpruned, must return the reference's plan
+// element for element and its totals bit for bit; where the reference is
+// infeasible at this resolution, the solver must have fallen back to greedy.
+// Returns whether the reference was feasible.
+bool ExpectDpMatchesReference(const MckpProblem& problem, const std::string& what,
+                              MckpSolver::Options options = {}) {
+  options.strategy = MckpSolver::Strategy::kDp;
+  const ReferenceDpResult reference = ReferenceSolveDp(problem, options);
+  for (const bool prune : {true, false}) {
+    options.prune = prune;
+    MckpSolver solver(options);
+    auto solution = solver.Solve(problem);
+    const std::string where = what + (prune ? " (pruned)" : " (unpruned)");
+    if (!reference.feasible) {
+      EXPECT_EQ(solver.stats().used, MckpSolver::Strategy::kGreedy) << where;
+      continue;
+    }
+    EXPECT_EQ(solver.stats().used, MckpSolver::Strategy::kDp) << where;
+    if (!solution.ok()) {
+      ADD_FAILURE() << where << ": " << solution.status().ToString();
+      continue;
+    }
+    EXPECT_EQ(solution->choice, reference.choice) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(solution->total_cost),
+              std::bit_cast<std::uint64_t>(reference.total_cost))
+        << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(solution->total_weight),
+              std::bit_cast<std::uint64_t>(reference.total_weight))
+        << where;
+    EXPECT_TRUE(solution->optimal) << where;
+    // The documented work count: (buckets + 1) cells per kept choice.
+    const std::size_t kept = solver.stats().choices_total - solver.stats().pruned_dominated;
+    const auto row = static_cast<std::size_t>(ReferenceBuckets(problem.groups.size(), options)) + 1;
+    EXPECT_EQ(solver.stats().dp_cells, row * kept) << where;
+  }
+  return reference.feasible;
+}
+
+TEST(DpKernelTest, MatchesReferenceOnIntegerInstances) {
+  // Integer costs and weights: exact candidate ties, so the first-index
+  // tie-break decides picks. Values below 8 make ties the common case.
+  for (const std::uint64_t range : {1000, 8}) {
+    Rng rng(8100 + range);
+    for (int round = 0; round < 24; ++round) {
+      const MckpProblem problem = RandomProblem(rng, 8, 1 + (round % 6), range);
+      ExpectDpMatchesReference(
+          problem, "range " + std::to_string(range) + " round " + std::to_string(round));
+    }
+  }
+}
+
+TEST(DpKernelTest, MatchesReferenceWithWeightsOnBucketEdges) {
+  // 2,048 buckets over capacity 2,048 (width exactly 1) and over 204.8 (width
+  // 0.1, where j * 0.1 lands a rounding step either side of the edge), plus a
+  // choice heavier than the whole budget (quantized to buckets + 1) and
+  // single-choice groups.
+  for (const double width : {1.0, 0.1}) {
+    Rng rng(width == 1.0 ? 8201 : 8202);
+    for (int round = 0; round < 8; ++round) {
+      MckpProblem problem;
+      problem.capacity = 2048.0 * width;
+      for (int g = 0; g < 12; ++g) {
+        std::vector<MckpChoice> group;
+        const int choices = g % 5 == 0 ? 1 : 4;
+        for (int k = 0; k < choices; ++k) {
+          // Choice 0 stays light so the minimum-weight assignment always fits.
+          const std::uint64_t units = rng.NextBelow(k == 0 ? 100 : 400);
+          group.push_back({.cost = static_cast<double>(rng.NextBelow(50)),
+                           .weight = static_cast<double>(units) * width});
+        }
+        if (g % 4 == 1) {
+          group.push_back({.cost = 0.0, .weight = problem.capacity * 1.5});
+        }
+        problem.groups.push_back(std::move(group));
+      }
+      ExpectDpMatchesReference(
+          problem, "width " + std::to_string(width) + " round " + std::to_string(round));
+    }
+  }
+}
+
+TEST(DpKernelTest, MatchesReferenceAtZeroCapacity) {
+  // Capacity 0: every positive weight quantizes past the budget, so only the
+  // zero-weight choices reach any bucket.
+  Rng rng(8301);
+  MckpProblem problem;
+  problem.capacity = 0.0;
+  for (int g = 0; g < 6; ++g) {
+    std::vector<MckpChoice> group;
+    for (int k = 0; k < 4; ++k) {
+      group.push_back({.cost = static_cast<double>(rng.NextBelow(10)),
+                       .weight = k == g % 4 ? 0.0 : static_cast<double>(1 + rng.NextBelow(5))});
+    }
+    group.push_back({.cost = static_cast<double>(rng.NextBelow(10)), .weight = 0.0});
+    problem.groups.push_back(std::move(group));
+  }
+  EXPECT_TRUE(ExpectDpMatchesReference(problem, "capacity 0"));
+}
+
+TEST(DpKernelTest, MatchesReferenceAtDaemonShape) {
+  // 26 regions x 4 tiers at 2,048 buckets: the window problem the analytical
+  // policy solves for memcached-ycsb on the standard mix.
+  Rng rng(8401);
+  int feasible = 0;
+  for (int round = 0; round < 12; ++round) {
+    const MckpProblem problem = RealValuedProblem(rng, 26, 4, 0.05 + 0.08 * round);
+    feasible += ExpectDpMatchesReference(problem, "round " + std::to_string(round)) ? 1 : 0;
+  }
+  EXPECT_GT(feasible, 0);
+}
+
+TEST(DpKernelTest, MatchesReferenceAtBucketCap) {
+  // 1,025 groups ask for 16,400 buckets; the kernel runs at dp_buckets_max
+  // (16,384).
+  Rng rng(8501);
+  const MckpProblem problem = RealValuedProblem(rng, 1025, 3, 0.3);
+  EXPECT_TRUE(ExpectDpMatchesReference(problem, "bucket cap"));
+}
+
+TEST(DpKernelTest, InfeasibleAtResolutionFallsBackToGreedy) {
+  // Four buckets of width 1: the light choices (1.5, 1.5, 0.5, 0.5) sum to
+  // exactly the budget, but round up to 2 + 2 + 1 + 1 buckets.
+  MckpProblem problem;
+  for (const double light : {1.5, 1.5, 0.5, 0.5}) {
+    problem.groups.push_back({{.cost = 5.0, .weight = light}, {.cost = 1.0, .weight = 9.0}});
+  }
+  problem.capacity = 4.0;
+  MckpSolver::Options options;
+  options.dp_buckets = 4;
+  options.dp_buckets_max = 4;
+  EXPECT_FALSE(ExpectDpMatchesReference(problem, "rounded past the budget", options));
+}
+
+// --- Warm-start incremental solving (DESIGN.md §4e) ---
 
 // Re-rolls `count` seeded-random groups' choice lists, marking them in `hint`.
 void ChurnGroups(Rng& rng, MckpProblem& problem, int count, std::vector<std::uint8_t>& hint) {

@@ -72,13 +72,18 @@ for threads in 1 4; do
     "$OUT/t$threads/BENCH_grid.json"
 done
 
-# The solver scaling curve must emit a per-cell wall/solver/solve_ms record
-# (the across-PR perf trajectory, EXPERIMENTS.md "Solver scaling curve").
+# The solver scaling curve and both cold DP cells must emit a per-cell
+# wall/solver/solve_ms record (the across-PR perf trajectory, EXPERIMENTS.md
+# "Solver scaling curve").
 for threads in 1 4; do
   grep -q '"bench":"micro_solver","cell":"cold/n1000","metric":"wall/solver/solve_ms"' \
     "$OUT/t$threads/BENCH_grid.json"
   grep -q '"bench":"micro_solver","cell":"warm/n1000","metric":"wall/solver/warm_ms"' \
     "$OUT/t$threads/BENCH_grid.json"
+  for cell in dp/26x4 dp/256x6; do
+    grep -q '"bench":"micro_solver","cell":"'$cell'","metric":"wall/solver/solve_ms"' \
+      "$OUT/t$threads/BENCH_grid.json"
+  done
 done
 
 # The MPMC access-path bench must emit a per-cell wall/access/churn_ms record
