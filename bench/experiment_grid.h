@@ -13,8 +13,9 @@
 // snapshots, merged traces — byte-identical for any thread count.
 //
 // Nested parallelism: each cell's engine owns its own push-thread pool, which
-// is legal under the pool's non-reentrancy rule (separate pools), but when
-// the grid itself is parallel the runner caps the inner
+// is legal under the pool's non-reentrancy rule (separate pools). A serial
+// grid leaves it host-sized (the EngineConfig default), but when the grid
+// itself is parallel the runner caps the inner
 // EngineConfig::migrate_threads at 1 so a 4-thread grid does not fan out into
 // 4xN threads. Both knobs are wall-clock-only: capping never changes
 // virtual-time results.

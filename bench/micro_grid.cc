@@ -37,6 +37,10 @@ void AddCells(ExperimentGrid& grid) {
       cell.workload = workload;
       cell.policy = policy;
       cell.config.ops = 60'000;
+      // Serial push pools in both runs, so the speedup measures grid scaling
+      // alone: a serial grid would otherwise give each cell a host-sized pool
+      // while the 4-thread grid caps it at 1.
+      cell.config.engine.migrate_threads = 1;
       grid.Add(std::move(cell));
     }
   }

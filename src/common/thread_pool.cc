@@ -1,16 +1,20 @@
 #include "src/common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace tierscape {
 
-ThreadPool::ThreadPool(int threads) {
-  const int workers = std::max(1, threads) - 1;
-  workers_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+int HostThreads() {
+  constexpr int kMaxHostThreads = 8;
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  const int available = sched_getaffinity(0, sizeof(cpus), &cpus) == 0 ? CPU_COUNT(&cpus) : 1;
+  return std::clamp(available, 1, kMaxHostThreads);
 }
+
+ThreadPool::ThreadPool(int threads) : threads_(std::max(1, threads)) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -24,11 +28,16 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (workers_.empty() || n <= 1) {
+  if (threads_ == 1 || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) {
       fn(i);
     }
     return;
+  }
+  // The first parallel batch spawns the workers. Only the owning thread
+  // calls ParallelFor, so workers_ needs no lock.
+  for (int i = static_cast<int>(workers_.size()) + 1; i < threads_; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   auto batch = std::make_shared<Batch>();
   batch->fn = &fn;

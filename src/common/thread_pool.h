@@ -8,6 +8,12 @@
 // parallelism for wall-clock speed while keeping virtual-time results
 // byte-identical across thread counts (the determinism invariant guarded by
 // DriverTest.DeterministicAcrossThreadsAndCache).
+//
+// Workers are spawned lazily, by the first ParallelFor with two or more
+// indices: a pool that only ever sees batches of n <= 1 never creates a
+// thread, so a process whose push pool has no parallel work stays
+// single-threaded (and keeps libc's and libstdc++'s single-threaded fast
+// paths).
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
 
@@ -22,18 +28,25 @@
 
 namespace tierscape {
 
+// The pool size that fits this host: the CPUs this process may run on
+// (sched_getaffinity), clamped to [1, 8] — 8 being the largest push-thread
+// count bench/micro_migration measures.
+int HostThreads();
+
 class ThreadPool {
  public:
   // `threads` is the total worker count including the calling thread:
-  // 1 means fully serial (no threads are spawned), N > 1 spawns N - 1
-  // workers that participate alongside the caller.
+  // 1 means fully serial (no threads are ever spawned), N > 1 spawns N - 1
+  // workers — on the first ParallelFor with n >= 2 — that participate
+  // alongside the caller.
   explicit ThreadPool(int threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int threads() const { return static_cast<int>(workers_.size()) + 1; }
+  // The configured count, whether or not the workers have been spawned yet.
+  int threads() const { return threads_; }
 
   // Runs fn(0) .. fn(n - 1), returning only when every index has completed.
   // Indices are claimed dynamically, so execution order across workers is
@@ -55,13 +68,14 @@ class ThreadPool {
   void WorkerLoop();
   void RunShard(Batch& batch);
 
+  int threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   std::shared_ptr<Batch> batch_;  // guarded by mu_; null when idle
   std::uint64_t generation_ = 0;  // guarded by mu_
   bool shutdown_ = false;         // guarded by mu_
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  // empty until the first parallel batch
 };
 
 }  // namespace tierscape

@@ -1,6 +1,7 @@
 #include "src/compress/corpus.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <string>
@@ -77,19 +78,49 @@ void FillDickens(Rng& rng, std::span<std::byte> out) {
       "young",   "quite",   "long",    "looked",   "head",     "way",      "know",
       "well",    "much",    "where",   "after",    "round",    "eyes",     "any"};
   constexpr std::size_t kVocab = sizeof(kWords) / sizeof(kWords[0]);
-  PageBuilder page(out);
+  // Words and separators sit in fixed 16-byte slots, so an append away from
+  // the page end is one fixed-size copy (a couple of moves, no libc call);
+  // the slot's padding lands past the text, where the next append overwrites
+  // it. Only the last slot before the page end is truncated to fit.
+  constexpr std::size_t kSlot = 16;
+  struct Slot {
+    char text[kSlot];
+    std::size_t size;
+  };
+  static constexpr auto kSlots = [] {
+    std::array<Slot, kVocab> slots{};
+    for (std::size_t i = 0; i < kVocab; ++i) {
+      std::copy(kWords[i].begin(), kWords[i].end(), slots[i].text);
+      slots[i].size = kWords[i].size();
+    }
+    return slots;
+  }();
+  static constexpr Slot kSpace = {" ", 1};
+  static constexpr Slot kStop = {". ", 2};
+  std::byte* const page = out.data();
+  std::size_t pos = 0;
+  auto append = [&](const Slot& slot) {
+    if (out.size() - pos >= kSlot) {
+      std::memcpy(page + pos, slot.text, kSlot);
+      pos += slot.size;
+    } else {
+      const std::size_t n = std::min(slot.size, out.size() - pos);
+      std::memcpy(page + pos, slot.text, n);
+      pos += n;
+    }
+  };
   int words_in_sentence = 0;
-  while (!page.full()) {
+  while (pos < out.size()) {
     // Zipf-ish rank selection: square a uniform to bias toward low ranks.
     const double u = rng.NextDouble();
     const auto rank = static_cast<std::size_t>(u * u * static_cast<double>(kVocab));
-    page.Append(kWords[rank < kVocab ? rank : kVocab - 1]);
+    append(kSlots[rank < kVocab ? rank : kVocab - 1]);
     ++words_in_sentence;
     if (words_in_sentence > 6 && rng.NextBelow(5) == 0) {
-      page.Append(". ");
+      append(kStop);
       words_in_sentence = 0;
     } else {
-      page.Append(" ");
+      append(kSpace);
     }
   }
 }

@@ -61,11 +61,13 @@ struct Token {
   std::uint8_t literal = 0;
 };
 
-// Hash-chain LZ77 parser with one-step-lazy matching.
-std::vector<Token> Parse(std::span<const std::byte> src) {
+// Hash-chain LZ77 parser with one-step-lazy matching. Parses `src` into
+// this thread's token buffer, which keeps its capacity from call to call.
+const std::vector<Token>& Parse(std::span<const std::byte> src) {
   const std::byte* const base = src.data();
   const std::size_t n = src.size();
-  std::vector<Token> tokens;
+  thread_local std::vector<Token> tokens;
+  tokens.clear();
   tokens.reserve(n / 3);
 
   std::int32_t head[1 << kHashBits];
@@ -153,11 +155,11 @@ std::vector<Token> Parse(std::span<const std::byte> src) {
 
 StatusOr<std::size_t> DeflateCompressor::Compress(std::span<const std::byte> src,
                                                   std::span<std::byte> dst) const {
-  const std::vector<Token> tokens = Parse(src);
+  const std::vector<Token>& tokens = Parse(src);
 
   // Frequency counting.
-  std::vector<std::uint32_t> lit_freq(kNumLitLenSymbols, 0);
-  std::vector<std::uint32_t> dist_freq(kNumDistSymbols, 0);
+  std::uint32_t lit_freq[kNumLitLenSymbols] = {};
+  std::uint32_t dist_freq[kNumDistSymbols] = {};
   for (const Token& t : tokens) {
     if (t.length == 0) {
       ++lit_freq[t.literal];

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <utility>
-#include <vector>
 
 #include "src/common/logging.h"
 #include "src/compress/compressor.h"
@@ -80,36 +78,11 @@ double CostModel::ComputeRatio(std::uint64_t region, int tier) const {
   return std::min(1.0, total / kSamples);
 }
 
-void CostModel::PrewarmRatios(std::uint64_t total_regions, ThreadPool& pool) const {
-  struct MissingRatio {
-    int profile;
-    int tier;
-    std::uint64_t region;  // exemplar: lowest region of this profile
-    double ratio = 0.0;
-  };
-  std::vector<MissingRatio> missing;
-  std::set<std::pair<int, int>> queued;
+void CostModel::PrewarmRatios(std::uint64_t total_regions) const {
   for (std::uint64_t region = 0; region < total_regions; ++region) {
-    const auto profile = static_cast<int>(space_.ProfileOfPage(region * kPagesPerRegion));
     for (int tier = 0; tier < tiers_.count(); ++tier) {
-      if (tiers_.tier(tier).kind != TierKind::kCompressed) {
-        continue;
-      }
-      const auto key = std::make_pair(profile, tier);
-      if (ratio_cache_.find(key) != ratio_cache_.end() || !queued.insert(key).second) {
-        continue;
-      }
-      missing.push_back(MissingRatio{.profile = profile, .tier = tier, .region = region});
+      (void)PredictRatio(region, tier);
     }
-  }
-  // ComputeRatio is pure; workers write disjoint slots, so results are
-  // identical for any pool size. Insertion stays on this thread, in scan
-  // order, keeping the cache's contents deterministic.
-  pool.ParallelFor(missing.size(), [&](std::size_t i) {
-    missing[i].ratio = ComputeRatio(missing[i].region, missing[i].tier);
-  });
-  for (const MissingRatio& entry : missing) {
-    ratio_cache_.emplace(std::make_pair(entry.profile, entry.tier), entry.ratio);
   }
 }
 

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <map>
 
-#include "src/common/thread_pool.h"
 #include "src/common/units.h"
 #include "src/tiering/address_space.h"
 #include "src/tiering/tier_table.h"
@@ -47,12 +46,13 @@ class CostModel {
   double PredictRatio(std::uint64_t region, int tier) const;
 
   // Computes every ratio-cache miss across (region profile, compressed tier)
-  // pairs on `pool` — the sample-compression sweeps are pure, so they fan out
-  // — then inserts the results in deterministic scan order. After this, a
-  // Decide() sweep reads predicted ratios as hash lookups only. Exemplar
-  // regions match the serial first-query order (lowest region per profile),
-  // so the cached values are identical to an unwarmed serial run.
-  void PrewarmRatios(std::uint64_t total_regions, ThreadPool& pool) const;
+  // pairs in ascending region order, so each profile's exemplar is its lowest
+  // region — the serial first-query order, making the cached values identical
+  // to an unwarmed run. After this, a Decide() sweep reads predicted ratios as
+  // lookups only. Runs inline: the sweep is a handful of sample compressions
+  // at the first window only, and handing them to the push pool would spawn
+  // its workers in runs that otherwise never need them (ThreadPool).
+  void PrewarmRatios(std::uint64_t total_regions) const;
 
   // Predicted access penalty (ns over DRAM) for one access to the region if
   // placed in `tier` (Eq. 6's delta / Lat_CT).
@@ -62,8 +62,7 @@ class CostModel {
 
  private:
   // The uncached ratio computation: compresses sample pages of the region's
-  // content profile. Pure (no member mutation), so PrewarmRatios may run it
-  // from parallel workers.
+  // content profile.
   double ComputeRatio(std::uint64_t region, int tier) const;
 
   const TierTable& tiers_;

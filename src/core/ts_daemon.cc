@@ -151,11 +151,11 @@ Status TsDaemon::OnWindowEnd() {
   engine_.ResetWindowFaults();
 
   // 2. Model: ask the policy for a recommendation. Ratio-prediction misses
-  // cost real sample compression, so fan them out across the push threads
-  // first; the Decide() sweep then reads every predicted ratio as a hash
-  // lookup (values identical to an unwarmed serial run).
+  // cost real sample compression, so fill them first; the Decide() sweep then
+  // reads every predicted ratio as a lookup (values identical to an unwarmed
+  // serial run).
   if (config_.mode == DaemonMode::kPlace) {
-    cost_model_.PrewarmRatios(engine_.space().total_regions(), engine_.thread_pool());
+    cost_model_.PrewarmRatios(engine_.space().total_regions());
     // Incremental mode feeds bucket-stable hotness plus the changed-bucket
     // bitmap (DESIGN.md §4e) so an unflagged region's solver inputs really
     // are byte-identical to the previous window's.

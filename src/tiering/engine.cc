@@ -231,37 +231,46 @@ StatusOr<TieringEngine::MigrateOutcome> TieringEngine::MigrateRegion(std::uint64
   TraceSpan migrate_span(&obs_->trace, "engine/migrate_region");
 
   migrate_staged_.clear();
+  bool compressed_source = false;
   for (std::uint64_t page = first_page; page < end_page; ++page) {
     if (pages_[page].tier == dst || pages_[page].tier < 0) {
       continue;
     }
+    compressed_source |= tiers_.tier(pages_[page].tier).kind == TierKind::kCompressed;
     StagedPage staged;
     staged.page = page;
     migrate_staged_.push_back(staged);
   }
 
-  // Phase 1 — compression fan-out on the push threads (PT2, §7.2): pages
-  // bound for a compressed destination are read (byte-tier contents are
-  // synthesized — a pure function of page + version; compressed-tier sources
-  // are decompressed through the pure read path, PeekCompressed + the
-  // source's compressor, with no pool mutation and no statistics), probed
-  // against the compression cache (read-only here), and compressed into
-  // disjoint per-index scratch slots. Nothing shared is mutated, so the
-  // staged results — and therefore every virtual-time charge derived from
-  // them — are identical for any thread count; compressed-source load
-  // statistics and costs commit in page order in phase 2 (CommitLoads).
+  // Phase 1 — codec fan-out on the push threads (PT2, §7.2). Pages bound for
+  // a compressed destination are read (byte-tier contents are synthesized —
+  // a pure function of page + version; compressed-tier sources are
+  // decompressed through the pure read path, PeekCompressed + the source's
+  // compressor, with no pool mutation and no statistics), probed against the
+  // compression cache (read-only here), and compressed into disjoint
+  // per-index scratch slots. Pages bound for a byte tier only need their
+  // compressed sources decompressed, the same pure way, for the decode's
+  // outcome; a move with no compressed source (byte to byte) has no codec
+  // work and issues no batch at all. Nothing shared is mutated, so the staged
+  // results — and therefore every virtual-time charge derived from them —
+  // are identical for any thread count; compressed-source load statistics
+  // and costs commit in page order in phase 2.
   constexpr std::size_t kSlotBytes = 2 * kPageSize;
   const bool compressed_dst = dref.kind == TierKind::kCompressed;
-  if (compressed_dst && !migrate_staged_.empty()) {
-    const Algorithm algorithm = dref.compressed->config().algorithm;
-    const Compressor& compressor = dref.compressed->compressor();
-    migrate_scratch_.resize(migrate_staged_.size() * kSlotBytes);
+  if (compressed_dst ? !migrate_staged_.empty() : compressed_source) {
+    if (compressed_dst) {
+      migrate_scratch_.resize(migrate_staged_.size() * kSlotBytes);
+    }
     thread_pool_->ParallelFor(migrate_staged_.size(), [&](std::size_t i) {
       StagedPage& staged = migrate_staged_[i];
       const TierRef& src = tiers_.tier(pages_[staged.page].tier);
-      if (compression_cache_ != nullptr) {
-        const auto* entry = compression_cache_->Lookup(
-            staged.page, space_.PageVersion(staged.page), algorithm);
+      if (!compressed_dst && src.kind == TierKind::kByteAddressable) {
+        return;  // a byte-to-byte move within a promotion: nothing to decode
+      }
+      if (compressed_dst && compression_cache_ != nullptr) {
+        const auto* entry =
+            compression_cache_->Lookup(staged.page, space_.PageVersion(staged.page),
+                                       dref.compressed->config().algorithm);
         if (entry != nullptr) {
           staged.cache_hit = true;
           staged.compressed_ready = true;
@@ -287,9 +296,12 @@ StatusOr<TieringEngine::MigrateOutcome> TieringEngine::MigrateRegion(std::uint64
           return;
         }
       }
+      if (!compressed_dst) {
+        return;  // a promotion keeps only the decode's outcome
+      }
       staged.checksum = PageChecksum(contents);
       const std::span<std::byte> slot(&migrate_scratch_[i * kSlotBytes], kSlotBytes);
-      auto compressed = compressor.Compress(contents, slot);
+      auto compressed = dref.compressed->compressor().Compress(contents, slot);
       if (!compressed.ok()) {
         staged.compress_failed = true;
         return;
@@ -318,7 +330,6 @@ StatusOr<TieringEngine::MigrateOutcome> TieringEngine::MigrateRegion(std::uint64
   Nanos cost = 0;
   Nanos load_ns = 0;   // reading sources (byte loads + decompressions)
   Nanos store_ns = 0;  // writing destinations (byte stores + pool inserts)
-  std::byte buffer[kPageSize];
 
   for (std::size_t i = 0; i < migrate_staged_.size(); ++i) {
     StagedPage& staged = migrate_staged_[i];
@@ -331,15 +342,20 @@ StatusOr<TieringEngine::MigrateOutcome> TieringEngine::MigrateRegion(std::uint64
     // phase 1 when needed), really decompressed for compressed tiers.
     if (byte_source) {
       load_ns += kPageSize / 64 * sref.medium->load_latency_ns();
-    } else if (compressed_dst) {
+    } else {
       // The source entry was decompressed by the phase-1 fan-out through the
-      // pure read path (PeekCompressed); charge the load and commit its
-      // statistics here, in page order — byte-identical to a sequential Load.
+      // pure read path (PeekCompressed); commit here, in page order, what a
+      // sequential read would have. A promotion's read is a Load, whose pool
+      // map counts (Peek's does not) and whose decode failure is this page's
+      // Status; a compressed-to-compressed move's read has no map.
+      if (!compressed_dst) {
+        auto mapped = sref.compressed->pool().Map(state.location);
+        if (!mapped.ok()) {
+          return mapped.status();
+        }
+      }
       TS_RETURN_IF_ERROR(staged.source_status);
       sref.compressed->CommitLoads(1);
-      load_ns += sref.compressed->LoadCost(state.compressed_size);
-    } else {
-      TS_RETURN_IF_ERROR(sref.compressed->Load(state.location, buffer));
       load_ns += sref.compressed->LoadCost(state.compressed_size);
     }
 

@@ -41,10 +41,13 @@ struct EngineConfig {
   double migration_interference = 0.05;
   // Verify page contents against checksums on every decompression fault.
   bool verify_contents = true;
-  // Push threads (PT2, §7.2) running the migration pipeline's compression
-  // fan-out and the cost model's ratio sweep. Wall-clock only: virtual-time
-  // results are byte-identical for every value (including 1 = serial).
-  int migrate_threads = 1;
+  // Push threads (PT2, §7.2) running the migration pipeline's codec fan-out
+  // (compressing demoted pages, decompressing compressed sources). Wall-clock
+  // only: virtual-time results are byte-identical for every value (including
+  // 1 = serial). Defaults to the host's CPUs; the pool spawns its workers at
+  // the first migration with codec work, so a run without any stays
+  // single-threaded.
+  int migrate_threads = HostThreads();
   // Memoize per-page compression results keyed by content version; a repeat
   // store of an unchanged page skips the real compress pass. Never affects
   // virtual time — the modeled store cost is derived from the compressed
@@ -183,7 +186,7 @@ class TieringEngine {
   TierTable& tiers() { return tiers_; }
   const EngineConfig& config() const { return config_; }
   // The push-thread pool (size EngineConfig::migrate_threads); shared with
-  // TS-Daemon for the cost model's ratio sweep.
+  // TS-Daemon for the solver's sharded mode.
   ThreadPool& thread_pool() { return *thread_pool_; }
   // Null when EngineConfig::compression_cache is off.
   const CompressionCache* compression_cache() const { return compression_cache_.get(); }
@@ -193,13 +196,13 @@ class TieringEngine {
   Observability& obs() { return *obs_; }
 
  private:
-  // One page of a migration batch staged by the parallel compress phase.
+  // One page of a migration batch staged by the parallel codec phase.
   struct StagedPage {
     std::uint64_t page = 0;
     bool compressed_ready = false;  // bytes/checksum below are valid
     bool cache_hit = false;
     bool compress_failed = false;  // output overflowed even the full scratch
-    Status source_status;  // phase-1 compressed-source read; checked in phase 2
+    Status source_status;  // phase-1 compressed-source decode; checked in phase 2
     std::uint64_t checksum = 0;
     std::span<const std::byte> bytes;  // cache entry or per-slot scratch
   };

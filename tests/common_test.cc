@@ -1,14 +1,18 @@
-// Unit tests for src/common: status, RNG distributions, histograms.
+// Unit tests for src/common: status, RNG distributions, histograms, the
+// thread pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
 #include <map>
 #include <vector>
 
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/common/thread_pool.h"
 #include "src/common/units.h"
 
 namespace tierscape {
@@ -298,6 +302,59 @@ TEST(SplitMixTest, Avalanche) {
   }
   EXPECT_GT(total / 100, 20);
   EXPECT_LT(total / 100, 44);
+}
+
+// Threads of this process, as the kernel lists them.
+std::size_t ProcessThreads() {
+  std::size_t threads = 0;
+  for ([[maybe_unused]] const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+TEST(ThreadPoolTest, HostThreadsIsClampedToOneThroughEight) {
+  EXPECT_GE(HostThreads(), 1);
+  EXPECT_LE(HostThreads(), 8);
+}
+
+TEST(ThreadPoolTest, SpawnsWorkersOnlyForABatchOfTwoOrMore) {
+  const std::size_t before = ProcessThreads();
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.threads(), 4);  // the configured count, before any spawn
+  std::vector<int> calls(1);
+  for (int batch = 0; batch < 8; ++batch) {
+    pool.ParallelFor(batch % 2, [&](std::size_t i) { calls[i] += 1; });
+  }
+  EXPECT_EQ(calls[0], 4);
+  EXPECT_EQ(ProcessThreads(), before);
+
+  std::vector<std::size_t> slots(16);
+  pool.ParallelFor(slots.size(), [&](std::size_t i) { slots[i] = i; });
+  // Three workers (the caller is the fourth); a sanitizer runtime may start a
+  // helper thread of its own alongside the first one.
+  EXPECT_GE(ProcessThreads(), before + 3);
+  EXPECT_EQ(pool.threads(), 4);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i], i);
+  }
+}
+
+TEST(ThreadPoolTest, ResultsIdenticalForEveryPoolSize) {
+  auto run = [](int threads) {
+    ThreadPool pool(threads);
+    std::vector<std::uint64_t> out;
+    for (std::size_t n : {0, 1, 2, 3, 64, 1000}) {
+      std::vector<std::uint64_t> slots(n);
+      pool.ParallelFor(n, [&](std::size_t i) { slots[i] = SplitMix64(n * 7919 + i); });
+      out.insert(out.end(), slots.begin(), slots.end());
+    }
+    return out;
+  };
+  const std::vector<std::uint64_t> serial = run(1);
+  for (int threads : {2, 4, 8, HostThreads()}) {
+    EXPECT_EQ(run(threads), serial) << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -323,6 +323,22 @@ TEST(CorpusTest, Deterministic) {
   }
 }
 
+// The text profiles append whole words and separators and truncate only at
+// the end, so a fill of any length is a prefix of the full page — at every
+// cut through a word, a separator, or the fixed-size slot FillDickens copies.
+TEST(CorpusTest, TextFillOfAnyLengthIsAPrefixOfThePage) {
+  for (const CorpusProfile profile : {CorpusProfile::kDickens, CorpusProfile::kNci}) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const std::vector<std::byte> page = MakePage(profile, seed);
+      for (std::size_t size = 0; size <= kPageSize; size += size < 64 || size > 4000 ? 1 : 61) {
+        const std::vector<std::byte> fill = MakePage(profile, seed, size);
+        ASSERT_TRUE(std::equal(fill.begin(), fill.end(), page.begin()))
+            << CorpusProfileName(profile) << " seed " << seed << " size " << size;
+      }
+    }
+  }
+}
+
 TEST(CorpusTest, ChecksumDetectsChange) {
   std::vector<std::byte> page = MakePage(CorpusProfile::kBinary, 9);
   const std::uint64_t before = PageChecksum(page);

@@ -175,6 +175,7 @@ TEST(CompressionCacheTest, ThreadCountDoesNotChangeCacheCounters) {
   // in the sequential apply phase, so stats are thread-count-independent —
   // and migration with check_tier_counts on cross-checks placement too.
   EngineConfig serial_config;
+  serial_config.migrate_threads = 1;
   serial_config.check_tier_counts = true;
   EngineConfig pooled_config = serial_config;
   pooled_config.migrate_threads = 4;

@@ -2,7 +2,10 @@
 // migration and faulting, migration-cost accounting, and resource lifetime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/mem/medium.h"
 #include "src/tiering/address_space.h"
@@ -71,6 +74,74 @@ TEST(EngineEdgeTest, FaultSpillsToNvmmWhenDramFull) {
   engine.Access(0, false);
   EXPECT_EQ(engine.page_state(0).tier, 1);  // spilled to NVMM
   EXPECT_EQ(engine.total_faults(), 1u);
+}
+
+TEST(EngineEdgeTest, CorruptPromotionFailsLikeASerialLoadAtAnyThreadCount) {
+  // A promotion whose compressed source no longer decodes must surface the
+  // decoder's Status at that page, after committing exactly the pages, loads
+  // and pool maps that sequential Loads in page order would have — however
+  // many push threads decompress the region.
+  constexpr std::uint64_t kCorruptPage = 37;
+  struct Outcome {
+    Status status;
+    std::uint64_t loads = 0;
+    std::uint64_t maps = 0;  // since the corruption, which maps once itself
+    std::uint64_t migrated_pages = 0;
+    std::vector<int> tiers;
+  };
+  auto run = [](int threads) {
+    Observability obs;
+    Medium dram(DramSpec(32 * kMiB));
+    ZswapBackend zswap(obs);
+    CompressedTierConfig config;
+    config.label = "CT";
+    config.algorithm = Algorithm::kDeflate;
+    const int ct = *zswap.AddTier(config, dram);
+    TierTable tiers;
+    tiers.set_obs(&obs);
+    EXPECT_TRUE(tiers.AddByteTier(dram).ok());
+    EXPECT_TRUE(tiers.AddCompressedTier(zswap.tier(ct)).ok());
+    AddressSpace space;
+    space.Allocate("a", 2 * kMiB, CorpusProfile::kDickens);
+    EngineConfig engine_config;
+    engine_config.migrate_threads = threads;
+    TieringEngine engine(space, tiers, engine_config);
+    EXPECT_TRUE(engine.PlaceInitial().ok());
+    auto demoted = engine.MigrateRegion(0, 1);
+    EXPECT_TRUE(demoted.ok());
+    EXPECT_EQ(demoted->moved, kPagesPerRegion);
+
+    CompressedTier& tier = zswap.tier(ct);
+    auto stored = tier.pool().Map(engine.page_state(kCorruptPage).location);
+    EXPECT_TRUE(stored.ok());
+    std::fill(stored->begin(), stored->end(), std::byte{0xff});
+    const Counter& maps = obs.metrics.GetCounter("zpool/CT/maps");
+    const std::uint64_t maps_before = maps.value();
+    const std::uint64_t migrated_before = engine.total_migrated_pages();
+
+    Outcome outcome;
+    auto promoted = engine.PromoteRegion(0);
+    outcome.status = promoted.status();
+    outcome.loads = tier.stats().loads;
+    outcome.maps = maps.value() - maps_before;
+    outcome.migrated_pages = engine.total_migrated_pages() - migrated_before;
+    for (std::uint64_t page = 0; page < kPagesPerRegion; ++page) {
+      outcome.tiers.push_back(engine.page_state(page).tier);
+    }
+    return outcome;
+  };
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Outcome outcome = run(threads);
+    EXPECT_EQ(outcome.status.code(), StatusCode::kCorruption);
+    EXPECT_EQ(outcome.status.message(), "deflate: bad header");
+    EXPECT_EQ(outcome.loads, kCorruptPage);
+    EXPECT_EQ(outcome.maps, kCorruptPage + 1);
+    EXPECT_EQ(outcome.migrated_pages, 0u);  // the failed call commits no totals
+    for (std::uint64_t page = 0; page < kPagesPerRegion; ++page) {
+      ASSERT_EQ(outcome.tiers[page], page < kCorruptPage ? 0 : 1) << "page " << page;
+    }
+  }
 }
 
 TEST(EngineEdgeTest, MigrationInterferenceCharged) {

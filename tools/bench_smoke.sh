@@ -4,7 +4,9 @@
 # grid, and diff everything deterministic between the two runs — stdout
 # tables, merged metrics artifacts, merged traces. The grid thread count is a
 # wall-clock-only knob (bench/experiment_grid.h), so any divergence is a
-# determinism regression.
+# determinism regression. The serial run's cells keep their host-sized push
+# pools while the 4-thread grid caps them at 1, so the diff also compares
+# parallel migration against serial migration.
 #
 # Excluded from the diff by construction:
 #   - BENCH_grid.json            per-cell wall-time records
