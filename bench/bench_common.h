@@ -93,9 +93,9 @@ inline std::size_t WorkloadFootprint(const std::string& name, double scale = 1.0
 // One policy column of the evaluation: a label plus a factory (fresh policy
 // per run) and the tier label the two-tier baselines demote to.
 struct PolicySpec {
-  std::string label;
+  std::string label{};
   // Slow-tier label for two-tier policies; empty for WF/AM.
-  std::string slow_tier_label;
+  std::string slow_tier_label{};
   // alpha for the analytical model; <0 for non-AM policies.
   double alpha = -1.0;
   bool waterfall = false;

@@ -9,9 +9,10 @@
 #include <string_view>
 #include <utility>
 
-// Discarding a Status silently swallows an error; the compiler warns on it
-// and tslint's status-discard rule (DESIGN.md §4c) flags call sites whose
-// result is neither assigned, returned, checked, nor explicitly (void)-cast.
+// Discarding a Status silently swallows an error. The build compiles with
+// -Werror=unused-result, so a call whose result is neither assigned,
+// returned, checked, nor explicitly (void)-cast fails to compile
+// (DESIGN.md §4c; the `status_discard_rejected` ctest probes it).
 #define TS_NODISCARD [[nodiscard]]
 
 namespace tierscape {

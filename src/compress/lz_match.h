@@ -2,8 +2,8 @@
 // finding on the compress side, match copying on the decompress side.
 //
 // The compressors are process-wide `static const` singletons called
-// concurrently from migration workers and the MPMC access path, so scratch
-// memory here is per thread, never a compressor member.
+// concurrently from the migration fan-out's workers, so scratch memory here
+// is per thread, never a compressor member.
 #ifndef SRC_COMPRESS_LZ_MATCH_H_
 #define SRC_COMPRESS_LZ_MATCH_H_
 

@@ -152,10 +152,6 @@ class TsDaemon {
 
   // Virtual time at which the next window closes.
   Nanos next_window_at() const { return next_window_at_; }
-  // DEPRECATED shim for the pre-§4h per-op convenience; forwards one op with
-  // no latency. Kept for exactly one PR — tslint's deprecated-window-shim
-  // rule fails any caller outside this header. Use Observe(AccessEvent).
-  TS_NODISCARD Status MaybeRunWindow() { return Observe(AccessEvent{}); }
 
   const std::vector<WindowRecord>& history() const { return history_; }
   HotnessTable& hotness() { return hotness_; }

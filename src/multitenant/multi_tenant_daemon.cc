@@ -6,11 +6,9 @@
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
-#include "src/compress/corpus.h"
 #include "src/core/analytical.h"
 #include "src/core/waterfall.h"
 #include "src/obs/export.h"
-#include "src/zswap/access_path.h"
 
 namespace tierscape {
 namespace {
@@ -37,10 +35,6 @@ Status MultiTenantConfig::Validate() const {
   }
   if (threads < 1) {
     return InvalidArgument("MultiTenantConfig: threads must be >= 1");
-  }
-  if (shared_cache_ops > 0 && shared_cache_bytes < kMiB) {
-    return InvalidArgument("MultiTenantConfig: shared_cache_bytes must be >= 1 MiB when the "
-                           "shared cache is enabled");
   }
   return OkStatus();
 }
@@ -154,64 +148,17 @@ void MultiTenantDaemon::SetupTenantShard(Tenant& tenant) {
   tenant.app->Populate(*tenant.engine);
 }
 
-Status MultiTenantDaemon::BuildSharedCache() {
-  shared_cache_obs_ = std::make_unique<Observability>();
-  shared_cache_medium_ = std::make_unique<Medium>(NvmmSpec(config_.shared_cache_bytes));
-  shared_cache_ = std::make_unique<ZswapBackend>(*shared_cache_obs_);
-  CompressedTierConfig tier;
-  tier.label = "SC";
-  tier.pool_manager = PoolManager::kZsmalloc;
-  auto tier_id = shared_cache_->AddTier(tier, *shared_cache_medium_);
-  if (!tier_id.ok()) {
-    return tier_id.status();
-  }
-  shared_cache_tier_ = *tier_id;
-  shared_cache_path_ = &shared_cache_->AccessPath();
-  return OkStatus();
-}
-
-void MultiTenantDaemon::ChurnSharedCache(Tenant& tenant) {
-  // Worker context: every write below lands in this tenant's slot; the access
-  // path is MPMC-safe and parks all shared accounting in its shards until the
-  // orchestrator's FlushAccounting (DESIGN.md §4g). Keys carry the tenant
-  // index, so each shard churns a disjoint partition and its statuses and
-  // latencies are pure per-tenant functions of the seeded contents.
-  std::byte page[kPageSize];
-  std::byte out[kPageSize];
-  Nanos churn_ns = 0;
-  const std::uint64_t key_base = static_cast<std::uint64_t>(tenant.demand.tenant) << 40;
-  const std::uint64_t content_seed = SplitSeed(tenant.seed, 7);
-  for (std::uint64_t op = 0; op < config_.shared_cache_ops; ++op) {
-    const AccessKey key = key_base | op;
-    FillPage(CorpusProfile::kNci, SplitSeed(content_seed, tenant.shared_cache_seq++), page);
-    auto stored = shared_cache_path_->Store(shared_cache_tier_, key, page);
-    TS_CHECK(stored.ok()) << stored.status().ToString();
-    churn_ns += stored->latency;
-    auto loaded = shared_cache_path_->Load(shared_cache_tier_, key, out);
-    TS_CHECK(loaded.ok()) << loaded.status().ToString();
-    churn_ns += loaded->latency;
-    const Status dropped = shared_cache_path_->Invalidate(shared_cache_tier_, key);
-    TS_CHECK(dropped.ok()) << dropped.ToString();
-  }
-  tenant.shared_cache_ns += churn_ns;
-}
-
 void MultiTenantDaemon::RunTenantShard(Tenant& tenant) {
   // Every op flows through the tenant daemon's Observe (§4h): sampling,
   // fast-path triggers, and the window boundary — which fires inside the
   // shard's last op (window_ops == ops_per_window, BuildTenant) — all on
-  // slot-owned state. Shared-cache churn runs after the boundary; it touches
-  // only the MPMC path's parked accounting and the tenant's own churn clock,
-  // so the window record is independent of it either way.
+  // slot-owned state.
   for (std::uint64_t op = 0; op < config_.ops_per_window; ++op) {
     const Nanos latency = tenant.app->Op(*tenant.engine);
     tenant.status = tenant.daemon->Observe(AccessEvent{.latency = latency});
     if (!tenant.status.ok()) {
       return;
     }
-  }
-  if (shared_cache_path_ != nullptr) {
-    ChurnSharedCache(tenant);
   }
   TS_CHECK(!tenant.daemon->history().empty());
   const TsDaemon::WindowRecord& record = tenant.daemon->history().back();
@@ -232,9 +179,6 @@ Status MultiTenantDaemon::Run() {
 
   // Assemblies build sequentially in ascending tenant order: construction
   // registers metrics and traces, which must not race.
-  if (config_.shared_cache_ops > 0) {
-    TS_RETURN_IF_ERROR(BuildSharedCache());
-  }
   for (auto& tenant : tenants_) {
     TS_RETURN_IF_ERROR(BuildTenant(*tenant));
   }
@@ -292,20 +236,11 @@ Status MultiTenantDaemon::Run() {
       return grants.status();
     }
     grants_ = std::move(*grants);
-    if (shared_cache_path_ != nullptr) {
-      // Commit point: all shard-parked shared-cache deltas roll up into the
-      // tier gauges here, on the orchestrator thread (DESIGN.md §4g).
-      shared_cache_path_->FlushAccounting();
-    }
     for (std::size_t i = 0; i < n; ++i) {
       Tenant& tenant = *tenants_[i];
       ApplyGrant(tenant, grants_[i]);
       // Arbitration is modeled work every tenant waits on (§8.4-style cost).
       tenant.engine->Compute(config_.arbiter.decision_cost_ns);
-      // Shared-cache churn latency, parked in the tenant slot by the worker,
-      // charges to virtual time here in ascending tenant order.
-      tenant.engine->Compute(tenant.shared_cache_ns);
-      tenant.shared_cache_ns = 0;
       tenant.m_tco_savings->Set(tenant.engine->TcoSavings());
       tenant.m_slowdown->Set(tenant.engine->Slowdown());
       tenant.m_grant_dram->Set(static_cast<double>(grants_[i].dram_bytes));
@@ -373,14 +308,6 @@ std::string MultiTenantDaemon::MergedMetricsJsonl() const {
     cells.push_back({tenant->spec.label, tenant->obs.metrics.Snapshot()});
   }
   RegistrySnapshot merged = MergeSnapshots(cells, "tenant");
-  if (shared_cache_obs_ != nullptr) {
-    // Shared side-cache metrics join under "shared/cache/...".
-    RegistrySnapshot shared =
-        MergeSnapshots({{"cache", shared_cache_obs_->metrics.Snapshot()}}, "shared");
-    merged.metrics.insert(merged.metrics.end(),
-                          std::make_move_iterator(shared.metrics.begin()),
-                          std::make_move_iterator(shared.metrics.end()));
-  }
   // Parent-scope metrics (arbiter/, aggregate/, tenant/<label>/ gauges) join
   // unprefixed; names are disjoint from the merged subtrees by construction.
   RegistrySnapshot parent = parent_obs_->metrics.Snapshot();

@@ -30,8 +30,6 @@
 
 namespace tierscape {
 
-class ZswapAccessPath;
-
 // A tenant's application: mirrors the Workload interface (workloads layer
 // sits above this one, so the shape is restated here; WorkloadTenantApp in
 // src/workloads/tenant_mix.h adapts any Workload).
@@ -69,18 +67,6 @@ struct MultiTenantConfig {
   int threads = 1;  // pool size for per-tenant shards (wall-clock only)
   std::uint64_t base_seed = 42;  // tenant i runs with SplitSeed(base_seed, i)
   bool trace = false;            // enable per-tenant trace recorders
-  // Shared compressed side-cache (DESIGN.md §4g): when > 0, the daemon hosts
-  // one extra shared Medium + ZswapBackend and every tenant window shard
-  // churns (store → load → invalidate) this many entries per window through
-  // the concurrent MPMC access path — the MaxMem-style colocation pattern of
-  // tenant shards hitting shared compressed media at once. Keys are
-  // partitioned by tenant index, latencies are pure functions of compressed
-  // size parked in the tenant slot and charged on the orchestrator in
-  // ascending tenant order, and all shared accounting commits at the
-  // orchestrator's FlushAccounting — so results stay byte-identical across
-  // pool sizes. 0 disables the cache (default; paper figures unchanged).
-  std::uint64_t shared_cache_ops = 0;
-  std::size_t shared_cache_bytes = 64 * kMiB;
   // Parent observability scope (arbiter + aggregate metrics). Null means the
   // process-wide default; tests pass a private instance.
   Observability* obs = nullptr;
@@ -161,8 +147,6 @@ class MultiTenantDaemon {
     // Worker-computed results for the current shard.
     Status status;
     TenantDemand demand;
-    Nanos shared_cache_ns = 0;          // churn latency, charged at commit
-    std::uint64_t shared_cache_seq = 0;  // per-tenant content-seed counter
     // Parent-scope gauges ("tenant/<label>/..."), resolved on the sequential
     // path at Run start.
     Gauge* m_tco_savings = nullptr;
@@ -178,24 +162,10 @@ class MultiTenantDaemon {
   void RunTenantShard(Tenant& tenant);
   void SetupTenantShard(Tenant& tenant);  // PlaceInitial + Populate
   void ApplyGrant(Tenant& tenant, const TenantGrant& grant);
-  Status BuildSharedCache();
-  // Worker-context churn through the MPMC access path: stores, loads, and
-  // invalidates this tenant's key partition, accumulating latency into the
-  // tenant slot. Drains everything it stores, so the shared pool is empty —
-  // and its occupancy gauges deterministic — at every commit point.
-  void ChurnSharedCache(Tenant& tenant);
 
   MultiTenantConfig config_;
   Observability* parent_obs_ = nullptr;  // resolved, never null
   std::unique_ptr<GlobalArbiter> arbiter_;
-  // Shared compressed side-cache (only when shared_cache_ops > 0): private
-  // obs scope (merged under "shared/cache/"), one medium, one backend, and
-  // the MPMC access path the tenant shards hit concurrently.
-  std::unique_ptr<Observability> shared_cache_obs_;
-  std::unique_ptr<Medium> shared_cache_medium_;
-  std::unique_ptr<ZswapBackend> shared_cache_;
-  ZswapAccessPath* shared_cache_path_ = nullptr;  // owned by shared_cache_
-  int shared_cache_tier_ = -1;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<TenantGrant> grants_;  // current grants, by tenant index
   std::vector<WindowRecord> history_;

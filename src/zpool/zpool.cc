@@ -48,8 +48,9 @@ class InstrumentedZPool : public ZPool {
     return inner_->Map(handle);
   }
 
-  // Uncounted by design: Peek is the concurrent read primitive of the MPMC
-  // access path, and this decorator's counters are plain (orchestrator-only).
+  // Uncounted by design: Peek is the concurrent read of the migration
+  // fan-out's phase-1 workers, and this decorator's counters are plain
+  // (submitting thread only).
   StatusOr<std::span<const std::byte>> Peek(ZPoolHandle handle) const override {
     return inner_->Peek(handle);
   }

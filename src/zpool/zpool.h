@@ -55,9 +55,9 @@ class ZPool {
 
   // Read-only view of the object's storage. Identical lookup to Map — every
   // manager's Map is logically const — but uncounted on instrumented pools:
-  // the MPMC access path (src/zswap/access_path.h) resolves spans under the
-  // per-medium allocation lock while the decorator's plain counters may only
-  // move on accounted sequential operations. The span stays valid until Free.
+  // the migration fan-out's phase-1 workers peek concurrently while no pool
+  // mutates, and the decorator's plain counters may only move on the
+  // submitting thread. The span stays valid until Free.
   virtual StatusOr<std::span<const std::byte>> Peek(ZPoolHandle handle) const {
     auto span = const_cast<ZPool*>(this)->Map(handle);
     if (!span.ok()) {

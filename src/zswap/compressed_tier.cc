@@ -80,29 +80,12 @@ StatusOr<CompressedTier::StoreResult> CompressedTier::StoreCompressed(
     m_rejects_->Add();
     return Rejected(config_.label + ": page not compressible enough (injected)");
   }
-  if (!WithinStoreRatio(compressed.size())) {
+  // zswap's refusal of poorly compressible data (footnote 1).
+  if (compressed.size() > static_cast<std::size_t>(config_.max_store_ratio * kPageSize)) {
     ++stats_.rejects;
     m_rejects_->Add();
     return Rejected(config_.label + ": page not compressible enough");
   }
-  auto handle = PlaceUnaccounted(compressed);
-  if (!handle.ok()) {
-    return handle.status();
-  }
-  ++stats_.stores;
-  m_stores_->Add();
-  m_compressed_bytes_->Add(compressed.size());
-  total_compressed_bytes_ += compressed.size();
-  ++total_stored_;
-  UpdateOccupancyGauges();
-  StoreResult result;
-  result.handle = *handle;
-  result.compressed_size = static_cast<std::uint32_t>(compressed.size());
-  result.latency = StoreCost(compressed.size());
-  return result;
-}
-
-StatusOr<ZPoolHandle> CompressedTier::PlaceUnaccounted(std::span<const std::byte> compressed) {
   // Multi-tenant grant partition (DESIGN.md §4f): a pool already at its
   // grant behaves exactly like a full backing medium.
   if (pool_bytes() >= grant_bytes_ || grant_bytes_ - pool_bytes() < compressed.size()) {
@@ -115,25 +98,17 @@ StatusOr<ZPoolHandle> CompressedTier::PlaceUnaccounted(std::span<const std::byte
   auto dst = pool_->Map(*handle);
   TS_CHECK(dst.ok());
   std::copy(compressed.begin(), compressed.end(), dst->data());
-  return handle;
-}
-
-void CompressedTier::CommitAccessDelta(const AccessDelta& delta) {
-  if (delta.Empty()) {
-    return;
-  }
-  stats_.stores += delta.stores;
-  stats_.rejects += delta.rejects;
-  stats_.loads += delta.loads;
-  stats_.invalidates += delta.invalidates;
-  m_stores_->Add(delta.stores);
-  m_rejects_->Add(delta.rejects);
-  m_loads_->Add(delta.loads);
-  m_invalidates_->Add(delta.invalidates);
-  m_compressed_bytes_->Add(delta.compressed_bytes);
-  total_compressed_bytes_ += delta.compressed_bytes;
-  total_stored_ += delta.stores;
+  ++stats_.stores;
+  m_stores_->Add();
+  m_compressed_bytes_->Add(compressed.size());
+  total_compressed_bytes_ += compressed.size();
+  ++total_stored_;
   UpdateOccupancyGauges();
+  StoreResult result;
+  result.handle = *handle;
+  result.compressed_size = static_cast<std::uint32_t>(compressed.size());
+  result.latency = StoreCost(compressed.size());
+  return result;
 }
 
 Status CompressedTier::Load(ZPoolHandle handle, std::span<std::byte> out) {

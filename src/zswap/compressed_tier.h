@@ -92,63 +92,13 @@ class CompressedTier {
   // Drops a stored entry.
   Status Invalidate(ZPoolHandle handle);
 
-  // --- MPMC access-path primitives (src/zswap/access_path.h, DESIGN.md §4g) --
-  // The sharded access path splits every tier operation into a pure pool
-  // mutation (done under ZswapAccessPath's per-medium allocation lock) and an
-  // orderless accounting delta committed later on a sequential path. None of
-  // the methods below touch stats_, metric handles, or gauges.
-
-  // True when `compressed_size` passes the zswap rejection threshold
-  // (footnote 1) — the pure half of StoreCompressed's reject decision.
-  bool WithinStoreRatio(std::size_t compressed_size) const {
-    return compressed_size <= static_cast<std::size_t>(config_.max_store_ratio * kPageSize);
-  }
-
-  // Places already-compressed bytes in the pool. Grant/capacity semantics are
-  // identical to StoreCompressed (kOutOfMemory at the grant, pool status
-  // otherwise); fault hooks are deliberately NOT consulted — injection is
-  // only legal on sequential paths (DESIGN.md §4d). The caller must hold the
-  // owning medium's allocation lock when other access-path callers may be
-  // mutating any pool on the same medium.
-  StatusOr<ZPoolHandle> PlaceUnaccounted(std::span<const std::byte> compressed);
-
   // Read-only view of a stored entry's compressed bytes — const and, on
-  // instrumented pools, uncounted. Resolve the span under the medium lock;
-  // the bytes themselves stay valid until the entry is freed, so the caller
-  // may decompress outside every lock.
+  // instrumented pools, uncounted. The migration fan-out's phase-1 workers
+  // decompress compressed sources through it while no tier mutates; the
+  // matching load statistics commit in phase 2 through CommitLoads.
   StatusOr<std::span<const std::byte>> PeekCompressed(ZPoolHandle handle) const {
     return pool_->Peek(handle);
   }
-
-  // Frees an entry without touching statistics or gauges (same lock rule as
-  // PlaceUnaccounted).
-  Status FreeUnaccounted(ZPoolHandle handle) { return pool_->Free(handle); }
-
-  // Orderless accounting produced by concurrent access-path callers: every
-  // field is a sum over a set of operations, so the merged value is
-  // independent of wall-clock interleaving (DESIGN.md §4g).
-  struct AccessDelta {
-    std::uint64_t stores = 0;
-    std::uint64_t rejects = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t invalidates = 0;
-    std::uint64_t compressed_bytes = 0;  // summed over successful stores
-    bool Empty() const {
-      return stores == 0 && rejects == 0 && loads == 0 && invalidates == 0;
-    }
-    void Accumulate(const AccessDelta& other) {
-      stores += other.stores;
-      rejects += other.rejects;
-      loads += other.loads;
-      invalidates += other.invalidates;
-      compressed_bytes += other.compressed_bytes;
-    }
-  };
-
-  // Applies a merged delta to the tier's stats and counters and republishes
-  // the occupancy gauges. Sequential paths only (the submitting thread, at a
-  // deterministic commit point such as ZswapAccessPath::FlushAccounting).
-  void CommitAccessDelta(const AccessDelta& delta);
 
   // Charges `n` loads to stats/counters without re-decompressing — the
   // migration fan-out decompresses compressed sources in phase-1 workers via

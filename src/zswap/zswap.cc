@@ -1,7 +1,6 @@
 #include "src/zswap/zswap.h"
 
 #include "src/common/logging.h"
-#include "src/zswap/access_path.h"
 
 namespace tierscape {
 
@@ -10,14 +9,8 @@ ZswapBackend::ZswapBackend() : ZswapBackend(Observability::Default()) {}
 ZswapBackend::ZswapBackend(Observability& obs, FaultInjector* fault)
     : obs_(&obs), fault_(fault) {}
 
-ZswapBackend::~ZswapBackend() = default;
-
 StatusOr<int> ZswapBackend::AddTier(CompressedTierConfig config, Medium& medium) {
   TS_RETURN_IF_ERROR(config.Validate());
-  if (access_ != nullptr) {
-    return FailedPrecondition("zswap: AddTier after the access path was built (its shard and "
-                             "lock tables are resolved at construction, DESIGN.md §4g)");
-  }
   if (FindTier(config.label) != -1) {
     return InvalidArgument("zswap: duplicate tier label \"" + config.label + "\"");
   }
@@ -31,13 +24,6 @@ StatusOr<int> ZswapBackend::AddTier(CompressedTierConfig config, Medium& medium)
 int ZswapBackend::FindTier(const std::string& label) const {
   const auto it = tier_ids_.find(label);
   return it == tier_ids_.end() ? -1 : it->second;
-}
-
-ZswapAccessPath& ZswapBackend::AccessPath() {
-  if (access_ == nullptr) {
-    access_ = std::make_unique<ZswapAccessPath>(*this);
-  }
-  return *access_;
 }
 
 StatusOr<ZswapBackend::MigrateResult> ZswapBackend::Migrate(int from_tier, ZPoolHandle handle,

@@ -17,8 +17,6 @@
 
 namespace tierscape {
 
-class ZswapAccessPath;
-
 class ZswapBackend {
  public:
   // Observability is constructor-injected (DESIGN.md §4b): every tier and
@@ -31,8 +29,6 @@ class ZswapBackend {
   explicit ZswapBackend(Observability& obs, FaultInjector* fault = nullptr);
   ZswapBackend(const ZswapBackend&) = delete;
   ZswapBackend& operator=(const ZswapBackend&) = delete;
-  // Special members live out of line: ZswapAccessPath is incomplete here.
-  ~ZswapBackend();
 
   Observability& obs() const { return *obs_; }
   FaultInjector* fault() const { return fault_; }
@@ -51,13 +47,6 @@ class ZswapBackend {
   // construction spirit), not rescanned per lookup — policy code resolves
   // tiers by label on per-window hot paths.
   int FindTier(const std::string& label) const;
-
-  // Builds (first call) and returns the concurrent MPMC access path over the
-  // currently registered tiers (src/zswap/access_path.h, DESIGN.md §4g).
-  // Call after tier registration is complete: AddTier refuses once the
-  // access path exists, so the path's shard/lock tables — resolved at its
-  // construction — can never go stale.
-  ZswapAccessPath& AccessPath();
 
   struct MigrateResult {
     CompressedTier::StoreResult store;
@@ -79,7 +68,6 @@ class ZswapBackend {
   FaultInjector* fault_;
   std::vector<std::unique_ptr<CompressedTier>> tiers_;
   std::unordered_map<std::string, int> tier_ids_;  // label → tier id (FindTier)
-  std::unique_ptr<ZswapAccessPath> access_;        // built on first AccessPath()
 };
 
 }  // namespace tierscape

@@ -75,10 +75,10 @@ INSTANTIATE_TEST_SUITE_P(
     AllCombos, RoundTripTest,
     ::testing::Combine(::testing::Range(0, kAlgorithmCount),
                        ::testing::Range(0, kCorpusProfileCount)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      std::string name(AlgorithmName(static_cast<Algorithm>(std::get<0>(info.param))));
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& param_info) {
+      std::string name(AlgorithmName(static_cast<Algorithm>(std::get<0>(param_info.param))));
       name += "_";
-      name += CorpusProfileName(static_cast<CorpusProfile>(std::get<1>(info.param)));
+      name += CorpusProfileName(static_cast<CorpusProfile>(std::get<1>(param_info.param)));
       for (char& c : name) {
         if (c == '-') {
           c = '_';

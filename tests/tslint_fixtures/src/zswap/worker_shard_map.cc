@@ -2,9 +2,8 @@
 // The shared dual of worker_shard_slots.cc: a subscript does NOT make a
 // receiver slot-owned when nothing worker-local indexes it. Writing a shared
 // shard map through a captured key or a fixed stripe from inside a worker is
-// exactly the interleaving-dependent mutation the MPMC access path confines
-// behind its shard locks (DESIGN.md §4g) — in a ThreadPool worker it must
-// trip. The slot writes at the end must not.
+// an interleaving-dependent mutation of state every worker shares — in a
+// ThreadPool worker it must trip. The slot writes at the end must not.
 namespace fixture {
 
 void PoisonShards(ThreadPool& pool, Shard* shards, Slot* slots, std::size_t n,

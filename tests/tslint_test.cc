@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -450,7 +449,6 @@ TEST(Syntax, FunctionsMethodsAndConstructors) {
   EXPECT_EQ(kinds["Flush"], FunctionKind::kOther);
   // `InitMetrics` is a declaration (no body): recorded only as a decl token.
   EXPECT_EQ(kinds.count("InitMetrics"), 0u);
-  EXPECT_EQ(syntax.status_functions, std::vector<std::string>{"Flush"});
 }
 
 TEST(Syntax, LambdaCapturesParamsAndNesting) {
@@ -628,59 +626,6 @@ TEST(WorkerCapture, ComparisonsAndDeclarationsNotWrites) {
   EXPECT_TRUE(diags.empty()) << diags.front().message;
 }
 
-// --- status-discard -------------------------------------------------------
-
-TEST(StatusDiscard, BareCallToIncludedStatusSymbolFlagged) {
-  std::map<std::string, std::string> sources;
-  sources["src/zswap/sink.h"] = "Status Flush(Sink& sink);\n";
-  sources["src/zswap/drain.cc"] =
-      "#include \"src/zswap/sink.h\"\n"
-      "void Drain(Sink& sink) { Flush(sink); }\n";
-  const auto diags = LintTree(sources, {}, "tools/tslint_allow.txt");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, kRuleStatusDiscard);
-  EXPECT_EQ(diags[0].file, "src/zswap/drain.cc");
-}
-
-TEST(StatusDiscard, SymbolNotVisibleWithoutInclude) {
-  std::map<std::string, std::string> sources;
-  sources["src/zswap/sink.h"] = "Status Flush(Sink& sink);\n";
-  sources["src/zswap/drain.cc"] = "void Drain(Sink& sink) { Flush(sink); }\n";
-  EXPECT_TRUE(LintTree(sources, {}, "tools/tslint_allow.txt").empty());
-}
-
-TEST(StatusDiscard, VisibilityIsTransitiveThroughIncludes) {
-  std::map<std::string, std::string> sources;
-  sources["src/zswap/sink.h"] = "StatusOr<int> Count(Sink& sink);\n";
-  sources["src/zswap/pool.h"] = "#include \"src/zswap/sink.h\"\n";
-  sources["src/zswap/drain.cc"] =
-      "#include \"src/zswap/pool.h\"\n"
-      "void Drain(Sink& sink) { Count(sink); }\n";
-  const auto diags = LintTree(sources, {}, "tools/tslint_allow.txt");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, kRuleStatusDiscard);
-}
-
-TEST(StatusDiscard, ConsumedResultsPass) {
-  const auto diags = LintOne("src/zswap/a.cc",
-                             "Status Flush(Sink& sink);\n"
-                             "Status DrainAll(Sink& sink) {\n"
-                             "  const Status first = Flush(sink);\n"
-                             "  if (!first.ok()) return first;\n"
-                             "  TS_RETURN_IF_ERROR(Flush(sink));\n"
-                             "  if (Flush(sink).ok()) { (void)Flush(sink); }\n"
-                             "  return sink.dirty() ? Flush(sink) : OkStatus();\n"
-                             "}\n");
-  EXPECT_TRUE(diags.empty()) << diags.front().message;
-}
-
-TEST(StatusDiscard, LowercaseDirectInitIsNotASymbol) {
-  // `Status s(...)` declares a variable; `s` must not enter the symbol index.
-  const auto diags = LintOne("src/zswap/a.cc",
-                             "void f() { Status s(StatusCode::kOk, \"\"); (void)s; }\n");
-  EXPECT_TRUE(diags.empty());
-}
-
 // --- handle-resolution-at-construction ------------------------------------
 
 TEST(HandleResolution, PlainMethodResolutionFlagged) {
@@ -732,32 +677,6 @@ TEST(HandleResolution, NamespaceScopeRegistrationAllowed) {
   EXPECT_TRUE(diags.empty());
 }
 
-// --- deprecated-window-shim ------------------------------------------------
-
-TEST(DeprecatedShim, CallerUseOfShimFlagged) {
-  const auto diags = LintOne("src/workloads/a.cc",
-                             "Status Drive(TsDaemon& daemon) {\n"
-                             "  return daemon.MaybeRunWindow();\n"
-                             "}\n");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, kRuleDeprecatedShim);
-  EXPECT_EQ(diags[0].line, 2);
-}
-
-TEST(DeprecatedShim, DeclaringHeaderExempt) {
-  // The one-PR shim may only be spelled where it is declared (§4h).
-  const auto diags = LintOne("src/core/ts_daemon.h",
-                             "TS_NODISCARD Status MaybeRunWindow() { return Observe(AccessEvent{}); }\n");
-  EXPECT_TRUE(diags.empty()) << diags.front().message;
-}
-
-TEST(DeprecatedShim, StringsAndCommentsDoNotTrip) {
-  const auto diags = LintOne("src/core/a.cc",
-                             "// MaybeRunWindow used to live here\n"
-                             "const char* kOld = \"MaybeRunWindow\";\n");
-  EXPECT_TRUE(diags.empty());
-}
-
 // --- allowlist hygiene ----------------------------------------------------
 
 TEST(AllowHygiene, UnknownRuleNameFails) {
@@ -792,135 +711,12 @@ TEST(AllowHygiene, EntriesOutsideScannedTopDirsIgnored) {
   EXPECT_TRUE(LintOne("src/core/a.cc", "int x = 1;\n", allow).empty());
 }
 
-// --- parallel + incremental runs (LintTreeEx) -----------------------------
-
-std::string JoinDiags(const std::vector<Diagnostic>& diags) {
-  std::string out;
-  for (const Diagnostic& d : diags) {
-    out += ToJsonl(d);
-    out += '\n';
-  }
-  return out;
-}
-
-std::map<std::string, std::string> DirtyTree() {
-  std::map<std::string, std::string> sources;
-  sources["src/zswap/sink.h"] = "Status Flush(Sink& sink);\n";
-  sources["src/zswap/drain.cc"] =
-      "#include \"src/zswap/sink.h\"\n"
-      "void Drain(Sink& sink) { Flush(sink); }\n";
-  sources["src/core/daemon.cc"] =
-      "void C::Record(MetricsRegistry& m) { m.GetCounter(\"c/hits\").Add(1); }\n";
-  sources["src/mem/up.cc"] = "#include \"src/core/api.h\"\n";
-  sources["src/core/api.h"] = "int kApi = 1;\n";
-  sources["src/solver/worker.cc"] =
-      "void f(Pool& pool, std::size_t n) {\n"
-      "  int total = 0;\n"
-      "  pool.ParallelFor(n, [&](std::size_t i) { total += 1; });\n"
-      "}\n";
-  return sources;
-}
-
-TEST(LintTreeExTest, FindingsByteIdenticalAcrossJobCounts) {
-  const auto sources = DirtyTree();
-  LintOptions serial;
-  LintOptions parallel;
-  parallel.jobs = 4;
-  const auto a = LintTreeEx(sources, {}, "tools/tslint_allow.txt", serial, nullptr);
-  const auto b = LintTreeEx(sources, {}, "tools/tslint_allow.txt", parallel, nullptr);
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(JoinDiags(a), JoinDiags(b));
-}
-
-TEST(LintTreeExTest, IncrementalRunOnUnchangedTreeAnalyzesNothing) {
-  const auto sources = DirtyTree();
-  const std::string cache = ::testing::TempDir() + "/tslint_cache_unchanged.txt";
-  std::remove(cache.c_str());
-  LintOptions options;
-  options.cache_path = cache;
-  options.incremental = true;
-  LintRunStats first_stats;
-  const auto first = LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, &first_stats);
-  EXPECT_EQ(first_stats.analyzed_files, sources.size());
-  EXPECT_FALSE(first_stats.used_cache);
-  LintRunStats second_stats;
-  const auto second = LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, &second_stats);
-  EXPECT_TRUE(second_stats.used_cache);
-  EXPECT_EQ(second_stats.analyzed_files, 0u);
-  EXPECT_FALSE(second_stats.full_cross_tu);
-  EXPECT_EQ(JoinDiags(first), JoinDiags(second));
-}
-
-TEST(LintTreeExTest, EditedFileIsReanalyzedAlone) {
-  auto sources = DirtyTree();
-  const std::string cache = ::testing::TempDir() + "/tslint_cache_edit.txt";
-  std::remove(cache.c_str());
-  LintOptions options;
-  options.cache_path = cache;
-  options.incremental = true;
-  (void)LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, nullptr);
-  // An edit that changes neither the status-symbol index nor include edges
-  // re-analyzes only the touched file.
-  sources["src/core/daemon.cc"] =
-      "void C::Record(MetricsRegistry& m) { m.GetCounter(\"c/miss\").Add(1); }\n";
-  LintRunStats stats;
-  const auto diags = LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, &stats);
-  EXPECT_TRUE(stats.used_cache);
-  EXPECT_EQ(stats.analyzed_files, 1u);
-  EXPECT_FALSE(stats.full_cross_tu);
-  const LintOptions full;
-  EXPECT_EQ(JoinDiags(diags),
-            JoinDiags(LintTreeEx(sources, {}, "tools/tslint_allow.txt", full, nullptr)));
-}
-
-TEST(LintTreeExTest, SymbolIndexChangeEscalatesToFullCrossTu) {
-  auto sources = DirtyTree();
-  const std::string cache = ::testing::TempDir() + "/tslint_cache_symbols.txt";
-  std::remove(cache.c_str());
-  LintOptions options;
-  options.cache_path = cache;
-  options.incremental = true;
-  (void)LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, nullptr);
-  // A new Status-returning symbol changes the cross-TU index: every cached
-  // file must be re-checked, and the new bare call in sink.h's includers is
-  // found even though drain.cc itself did not change.
-  sources["src/zswap/sink.h"] = "Status Flush(Sink& sink);\nStatus Seal(Sink& sink);\n";
-  LintRunStats stats;
-  const auto diags = LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, &stats);
-  EXPECT_TRUE(stats.full_cross_tu);
-  const LintOptions full;
-  EXPECT_EQ(JoinDiags(diags),
-            JoinDiags(LintTreeEx(sources, {}, "tools/tslint_allow.txt", full, nullptr)));
-}
-
-TEST(LintTreeExTest, AllowlistChangeInvalidatesCache) {
-  const auto sources = DirtyTree();
-  const std::string cache = ::testing::TempDir() + "/tslint_cache_allow.txt";
-  std::remove(cache.c_str());
-  LintOptions options;
-  options.cache_path = cache;
-  options.incremental = true;
-  (void)LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, nullptr);
-  std::vector<Diagnostic> parse_diags;
-  const auto allow = ParseAllowlist(
-      "tools/tslint_allow.txt",
-      "status-discard src/zswap/drain.cc fixture: best-effort drain, error is expected\n",
-      parse_diags);
-  LintRunStats stats;
-  const auto diags = LintTreeEx(sources, allow, "tools/tslint_allow.txt", options, &stats);
-  EXPECT_FALSE(stats.used_cache);
-  EXPECT_EQ(stats.analyzed_files, sources.size());
-  for (const Diagnostic& d : diags) {
-    EXPECT_NE(d.rule, kRuleStatusDiscard) << d.message;
-  }
-}
-
 // --- SARIF ----------------------------------------------------------------
 
 TEST(Sarif, StructureAndRuleIndices) {
   const std::vector<Diagnostic> diags = {
       {kRuleLayering, "src/mem/up.cc", 1, 10, "layer \"mem\" may not include \"core\""},
-      {kRuleStatusDiscard, "src/zswap/drain.cc", 2, 26, "result of `Flush(...)` discarded"},
+      {kRuleHandleResolution, "src/obs/a.cc", 2, 5, "handle `GetCounter(...)` resolved by string"},
   };
   const std::string sarif = ToSarif(diags);
   EXPECT_NE(sarif.find("\"version\":\"2.1.0\""), std::string::npos);
@@ -932,13 +728,13 @@ TEST(Sarif, StructureAndRuleIndices) {
     EXPECT_NE(sarif.find("\"id\":\"" + rule + "\""), std::string::npos) << rule;
   }
   std::size_t layering_index = 0;
-  std::size_t discard_index = 0;
+  std::size_t handle_index = 0;
   for (std::size_t i = 0; i < AllRuleNames().size(); ++i) {
     if (AllRuleNames()[i] == kRuleLayering) layering_index = i;
-    if (AllRuleNames()[i] == kRuleStatusDiscard) discard_index = i;
+    if (AllRuleNames()[i] == kRuleHandleResolution) handle_index = i;
   }
   EXPECT_NE(sarif.find("\"ruleIndex\":" + std::to_string(layering_index)), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleIndex\":" + std::to_string(discard_index)), std::string::npos);
+  EXPECT_NE(sarif.find("\"ruleIndex\":" + std::to_string(handle_index)), std::string::npos);
   EXPECT_NE(sarif.find("\"uri\":\"src/mem/up.cc\""), std::string::npos);
   EXPECT_NE(sarif.find("\"startLine\":2"), std::string::npos);
   // Escaping: the quoted layer names must be escaped in the message text.

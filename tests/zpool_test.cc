@@ -1,6 +1,6 @@
 // Tests for the three pool managers: packing properties (zbud <= 2/page,
-// z3fold <= 3/page, zsmalloc dense), data integrity, capacity behaviour, and
-// a randomized property test across all managers.
+// z3fold <= 3/page, zsmalloc dense), data integrity, capacity behaviour, the
+// uncounted Peek read, and a randomized property test across all managers.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,6 +10,7 @@
 
 #include "src/common/rng.h"
 #include "src/mem/medium.h"
+#include "src/obs/metrics.h"
 #include "src/zpool/zpool.h"
 
 namespace tierscape {
@@ -149,10 +150,46 @@ TEST_P(ZPoolTest, RandomizedIntegrity) {
   }
 }
 
+// Peek is the uncounted read of the migration fan-out's phase-1 workers (and
+// perfbench's pool probe): it must see exactly what Map sees, leave the
+// instrumented pool's `maps` counter alone, and fail like Map on a freed
+// handle.
+TEST_P(ZPoolTest, PeekMatchesMapWithoutCounting) {
+  MetricsRegistry metrics;
+  auto pool = CreateZPool(static_cast<PoolManager>(GetParam()), medium_, metrics, "P");
+  const Counter& maps = metrics.GetCounter("zpool/P/maps");
+  const auto blob = Blob(1500, 9);
+  auto handle = pool->Alloc(blob.size());
+  ASSERT_TRUE(handle.ok());
+  auto span = pool->Map(*handle);
+  ASSERT_TRUE(span.ok());
+  std::memcpy(span->data(), blob.data(), blob.size());
+  EXPECT_EQ(maps.value(), 1u);
+
+  auto peeked = pool->Peek(*handle);
+  ASSERT_TRUE(peeked.ok());
+  EXPECT_EQ(maps.value(), 1u);
+  auto mapped = pool->Map(*handle);
+  ASSERT_TRUE(mapped.ok());
+  EXPECT_EQ(maps.value(), 2u);
+  ASSERT_EQ(peeked->size(), blob.size());
+  ASSERT_EQ(mapped->size(), blob.size());
+  EXPECT_EQ(std::memcmp(peeked->data(), blob.data(), blob.size()), 0);
+  EXPECT_EQ(std::memcmp(peeked->data(), mapped->data(), blob.size()), 0);
+
+  ASSERT_TRUE(pool->Free(*handle).ok());
+  const auto peek_freed = pool->Peek(*handle);
+  const auto map_freed = pool->Map(*handle);
+  ASSERT_FALSE(peek_freed.ok());
+  ASSERT_FALSE(map_freed.ok());
+  EXPECT_EQ(peek_freed.status().code(), map_freed.status().code());
+  EXPECT_EQ(peek_freed.status().code(), StatusCode::kNotFound);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllManagers, ZPoolTest, ::testing::Range(0, kPoolManagerCount),
-                         [](const ::testing::TestParamInfo<int>& info) {
+                         [](const ::testing::TestParamInfo<int>& param_info) {
                            return std::string(
-                               PoolManagerName(static_cast<PoolManager>(info.param)));
+                               PoolManagerName(static_cast<PoolManager>(param_info.param)));
                          });
 
 // ---------------------------------------------------------------------------

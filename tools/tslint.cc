@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <tuple>
 
-#include "src/common/thread_pool.h"
-#include "tools/tslint_cache.h"
 #include "tools/tslint_syntax.h"
 
 namespace tierscape {
@@ -36,10 +32,9 @@ std::string Lower(std::string s) {
 
 const std::vector<std::string>& AllRuleNames() {
   static const std::vector<std::string> kRules = {
-      kRuleDeterminism,   kRuleLayering,      kRuleNoExceptions,
-      kRuleWallPrefix,    kRuleCiteConstants, kRulePoolPurity,
-      kRuleFaultHook,     kRuleWorkerCapture, kRuleStatusDiscard,
-      kRuleHandleResolution, kRuleDeprecatedShim, kRuleAllowlist,
+      kRuleDeterminism,   kRuleLayering,   kRuleNoExceptions,  kRuleWallPrefix,
+      kRuleCiteConstants, kRulePoolPurity, kRuleFaultHook,     kRuleWorkerCapture,
+      kRuleHandleResolution, kRuleAllowlist,
   };
   return kRules;
 }
@@ -474,23 +469,6 @@ void CheckDeterminism(const LexedFile& file, const std::vector<AllowEntry>& allo
                      "wall-clock / nondeterminism source `" + t.text +
                          "` outside the wall/ quarantine; justify in tools/tslint_allow.txt "
                          "if the value never reaches virtual-time results (DESIGN.md §4b)"});
-  }
-}
-
-// §4h event-API migration: TsDaemon::MaybeRunWindow survives one PR as a
-// deprecated shim; every caller must route ops through Observe(AccessEvent).
-// Only the declaring header may spell the name (string literals — e.g. this
-// rule's own message — are not identifiers and never match).
-void CheckDeprecatedShim(const LexedFile& file, const std::vector<AllowEntry>& allow,
-                         std::vector<bool>& used_allow, std::vector<Diagnostic>& diags) {
-  if (file.path == "src/core/ts_daemon.h") return;  // the shim's own declaration
-  for (const Token& t : file.tokens) {
-    if (t.kind != TokenKind::kIdentifier) continue;
-    if (t.text != "MaybeRunWindow") continue;
-    if (Allowed(kRuleDeprecatedShim, file.path, allow, used_allow)) continue;
-    diags.push_back({kRuleDeprecatedShim, file.path, t.line, t.col,
-                     "`MaybeRunWindow` is a deprecated one-PR shim: feed ops through "
-                     "TsDaemon::Observe(AccessEvent) instead (DESIGN.md §4h)"});
   }
 }
 
@@ -960,81 +938,16 @@ void CheckHandleResolution(const LexedFile& file, const SyntaxInfo& syntax,
   }
 }
 
-void CheckStatusDiscard(const LexedFile& file, const SyntaxInfo& syntax,
-                        const std::set<std::string>& visible_status_symbols,
-                        const std::vector<AllowEntry>& allow, std::vector<bool>& used_allow,
-                        std::vector<Diagnostic>& diags) {
-  // TS_NODISCARD (src/common/status.h) makes the compiler warn on discarded
-  // Status results; this rule makes it a lint failure with cross-TU symbol
-  // knowledge: a call to a Status/StatusOr-returning function whose result is
-  // neither assigned, returned, checked, nor explicitly (void)-cast silently
-  // skips the degradation ladder (DESIGN.md §4d).
-  if (visible_status_symbols.empty()) return;
-  const std::vector<Token>& toks = file.tokens;
-  for (std::size_t k = 0; k + 1 < toks.size(); ++k) {
-    const Token& t = toks[k];
-    if (t.kind != TokenKind::kIdentifier || t.in_preprocessor) continue;
-    if (visible_status_symbols.count(t.text) == 0) continue;
-    if (toks[k + 1].kind != TokenKind::kPunct || toks[k + 1].text != "(") continue;
-    if (syntax.decl_name_tokens.count(k) != 0) continue;  // declaration, not a call
-    const std::size_t close = MatchForward(toks, k + 1);
-    if (close + 1 >= toks.size()) continue;
-    const Token& after = toks[close + 1];
-    if (after.kind != TokenKind::kPunct || after.text != ";") continue;  // result consumed
-    const ChainInfo chain = WalkChainBack(toks, k);
-    const std::size_t s = chain.start;
-    // Explicit discard: `(void)Foo(...)`.
-    if (s >= 3 && toks[s - 1].kind == TokenKind::kPunct && toks[s - 1].text == ")" &&
-        toks[s - 2].kind == TokenKind::kIdentifier && toks[s - 2].text == "void" &&
-        toks[s - 3].kind == TokenKind::kPunct && toks[s - 3].text == "(") {
-      continue;
-    }
-    bool stmt_start = s == 0;
-    if (!stmt_start) {
-      const Token& prev = toks[s - 1];
-      // `:` is deliberately absent: a ternary's second arm (`c ? A() : B();`)
-      // is indistinguishable from a `case X:` label without expression
-      // parsing, and the ternary's value is consumed. Err toward silence.
-      if (prev.kind == TokenKind::kPunct &&
-          (prev.text == ";" || prev.text == "{" || prev.text == "}" || prev.text == ")")) {
-        stmt_start = true;
-      } else if (prev.kind == TokenKind::kIdentifier &&
-                 (prev.text == "else" || prev.text == "do")) {
-        stmt_start = true;
-      }
-    }
-    if (!stmt_start) continue;
-    if (Allowed(kRuleStatusDiscard, file.path, allow, used_allow)) continue;
-    diags.push_back({kRuleStatusDiscard, file.path, t.line, t.col,
-                     "result of Status/StatusOr call `" + t.text +
-                         "(...)` is discarded: assign, return, or check it — or cast to "
-                         "(void) with justification (TS_NODISCARD, src/common/status.h)"});
-  }
-}
-
-namespace {
-
-// All per-file rules except status-discard (which needs the cross-TU symbol
-// index). Shared by CheckFile and the LintTreeEx pipeline so the syntax scan
-// runs once per file.
-void RunPerFileRules(const LexedFile& file, const SyntaxInfo& syntax,
-                     const std::vector<AllowEntry>& allow, std::vector<bool>& used_allow,
-                     std::vector<Diagnostic>& diags) {
+void CheckFile(const LexedFile& file, const std::vector<AllowEntry>& allow,
+               std::vector<bool>& used_allow, std::vector<Diagnostic>& diags) {
+  const SyntaxInfo syntax = ScanSyntax(file);
   CheckDeterminism(file, allow, used_allow, diags);
   CheckNoExceptions(file, allow, used_allow, diags);
-  CheckDeprecatedShim(file, allow, used_allow, diags);
   CheckWallPrefix(file, allow, used_allow, diags);
   CheckCiteConstants(file, allow, used_allow, diags);
   CheckPoolPurity(file, allow, used_allow, diags);
   CheckWorkerCapture(file, syntax, allow, used_allow, diags);
   CheckHandleResolution(file, syntax, allow, used_allow, diags);
-}
-
-}  // namespace
-
-void CheckFile(const LexedFile& file, const std::vector<AllowEntry>& allow,
-               std::vector<bool>& used_allow, std::vector<Diagnostic>& diags) {
-  RunPerFileRules(file, ScanSyntax(file), allow, used_allow, diags);
 }
 
 // ---------------------------------------------------------------------------
@@ -1115,295 +1028,50 @@ void CheckIncludeGraph(const std::map<std::string, LexedFile>& files,
 // ---------------------------------------------------------------------------
 // Whole-tree lint
 
-namespace {
-
-// Per-index slot for the parallel pipeline (§4c: workers write only here;
-// everything shared merges on the calling thread in ascending path order).
-struct PerFileResult {
-  std::uint64_t digest = 0;
-  std::vector<LexedFile::Include> includes;
-  std::vector<std::string> status_functions;  // sorted, unique
-  std::vector<std::size_t> used_allow;
-  std::vector<Diagnostic> diags;
-  bool from_cache = false;
-};
-
-// Lexed + syntax-scanned form of a freshly analyzed file, kept for phase C
-// (status-discard). Cached files never need it.
-struct AnalyzedFile {
-  LexedFile lexed;
-  SyntaxInfo syntax;
-};
-
-std::uint64_t DigestAllowlist(const std::vector<AllowEntry>& allow) {
-  std::uint64_t h = Fnv1a("allow");
-  for (const AllowEntry& e : allow) {
-    h = Fnv1a(e.rule, h);
-    h = Fnv1a("\x1f", h);
-    h = Fnv1a(e.path, h);
-    h = Fnv1a("\x1f", h);
-    h = Fnv1a(e.rationale, h);
-    h = Fnv1a("\x1f", h);
-    h = Fnv1a(std::to_string(e.line), h);
-    h = Fnv1a("\n", h);
-  }
-  return h;
-}
-
-}  // namespace
-
-std::vector<Diagnostic> LintTreeEx(const std::map<std::string, std::string>& sources,
-                                   const std::vector<AllowEntry>& allow,
-                                   const std::string& allow_path, const LintOptions& options,
-                                   LintRunStats* stats_out) {
-  LintRunStats stats;
-  stats.total_files = sources.size();
-
-  std::vector<std::string> paths;
-  std::vector<const std::string*> contents;
-  paths.reserve(sources.size());
-  contents.reserve(sources.size());
-  for (const auto& [path, content] : sources) {
-    paths.push_back(path);
-    contents.push_back(&content);
-  }
-  const std::size_t n = paths.size();
-
-  std::vector<std::uint64_t> digest(n, 0);
-  for (std::size_t i = 0; i < n; ++i) digest[i] = Fnv1a(*contents[i]);
-
-  const std::uint64_t allow_digest = DigestAllowlist(allow);
-  LintCache cache;
-  bool cache_ok = false;
-  if (options.incremental && !options.cache_path.empty()) {
-    cache_ok = LoadCache(options.cache_path, cache) && cache.allow_digest == allow_digest;
-  }
-  stats.used_cache = cache_ok;
-
-  std::vector<PerFileResult> slots(n);
-  std::vector<std::unique_ptr<AnalyzedFile>> analyzed(n);
-  std::vector<char> needs(n, 1);
-  if (cache_ok) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto it = cache.files.find(paths[i]);
-      if (it != cache.files.end() && it->second.digest == digest[i]) needs[i] = 0;
-    }
-  }
-
-  ThreadPool pool(std::max(1, options.jobs));
-
-  // Phase A: per-file analysis (lex, syntax scan, all per-file rules except
-  // status-discard) into disjoint per-index slots.
-  auto analyze_one = [&](std::size_t i) {
-    auto af = std::make_unique<AnalyzedFile>();
-    af->lexed = Lex(paths[i], *contents[i]);
-    af->syntax = ScanSyntax(af->lexed);
-    PerFileResult r;
-    r.digest = digest[i];
-    r.includes = af->lexed.includes;
-    const std::set<std::string> uniq(af->syntax.status_functions.begin(),
-                                     af->syntax.status_functions.end());
-    r.status_functions.assign(uniq.begin(), uniq.end());
-    std::vector<bool> local_used(allow.size(), false);
-    RunPerFileRules(af->lexed, af->syntax, allow, local_used, r.diags);
-    for (std::size_t k = 0; k < local_used.size(); ++k) {
-      if (local_used[k]) r.used_allow.push_back(k);
-    }
-    slots[i] = std::move(r);
-    analyzed[i] = std::move(af);
-  };
-  auto run_phase_a = [&](const std::vector<std::size_t>& work) {
-    pool.ParallelFor(work.size(), [&](std::size_t w) { analyze_one(work[w]); });
-  };
-  {
-    std::vector<std::size_t> work;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (needs[i]) work.push_back(i);
-    }
-    run_phase_a(work);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (needs[i]) continue;
-    const CachedFile& cf = cache.files.at(paths[i]);
-    PerFileResult r;
-    r.digest = cf.digest;
-    r.includes = cf.includes;
-    r.status_functions = cf.status_functions;
-    r.used_allow = cf.used_allow;
-    r.diags = cf.diags;
-    for (Diagnostic& d : r.diags) d.file = paths[i];
-    r.from_cache = true;
-    slots[i] = std::move(r);
-  }
-
-  // Cross-TU digests: the status-symbol index and the quoted-include edge
-  // set. A change in either invalidates cached status-discard findings in
-  // *unchanged* files, so it escalates to a full pass.
-  auto cross_digests = [&]() {
-    std::uint64_t sym = Fnv1a("symbols");
-    std::uint64_t inc = Fnv1a("includes");
-    for (std::size_t i = 0; i < n; ++i) {
-      sym = Fnv1a(paths[i], sym);
-      sym = Fnv1a("\x1f", sym);
-      for (const std::string& s : slots[i].status_functions) {
-        sym = Fnv1a(s, sym);
-        sym = Fnv1a(",", sym);
-      }
-      inc = Fnv1a(paths[i], inc);
-      inc = Fnv1a("\x1f", inc);
-      for (const LexedFile::Include& e : slots[i].includes) {
-        if (e.angled) continue;
-        inc = Fnv1a(e.path, inc);
-        inc = Fnv1a(",", inc);
-      }
-    }
-    return std::pair<std::uint64_t, std::uint64_t>{sym, inc};
-  };
-  auto [symbol_digest, include_digest] = cross_digests();
-  if (cache_ok &&
-      (symbol_digest != cache.symbol_digest || include_digest != cache.include_digest)) {
-    stats.full_cross_tu = true;
-    std::vector<std::size_t> rest;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!needs[i]) {
-        needs[i] = 1;
-        rest.push_back(i);
-      }
-    }
-    run_phase_a(rest);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (needs[i]) ++stats.analyzed_files;
-  }
-
-  // Visibility closure: symbols a file can see through transitive quoted
-  // includes (plus its own). Memoized DFS; include cycles (flagged by the
-  // layering rule anyway) degrade to a partial union, never an infinite loop.
-  std::map<std::string, std::size_t> index_of;
-  for (std::size_t i = 0; i < n; ++i) index_of.emplace(paths[i], i);
-  std::vector<std::set<std::string>> visible(n);
-  {
-    std::vector<int> state(n, 0);  // 0 = unvisited, 1 = in progress, 2 = done
-    std::function<void(std::size_t)> dfs = [&](std::size_t i) {
-      state[i] = 1;
-      visible[i].insert(slots[i].status_functions.begin(), slots[i].status_functions.end());
-      for (const LexedFile::Include& e : slots[i].includes) {
-        if (e.angled) continue;
-        auto it = index_of.find(e.path);
-        if (it == index_of.end()) continue;
-        const std::size_t dep = it->second;
-        if (state[dep] == 0) dfs(dep);
-        visible[i].insert(visible[dep].begin(), visible[dep].end());
-      }
-      state[i] = 2;
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (state[i] == 0) dfs(i);
-    }
-  }
-
-  // Phase C: status-discard over freshly analyzed files (cached per-file
-  // diagnostics already contain their status-discard findings).
-  {
-    std::vector<std::size_t> work;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (needs[i]) work.push_back(i);
-    }
-    pool.ParallelFor(work.size(), [&](std::size_t w) {
-      const std::size_t i = work[w];
-      std::vector<bool> local_used(allow.size(), false);
-      CheckStatusDiscard(analyzed[i]->lexed, analyzed[i]->syntax, visible[i], allow,
-                         local_used, slots[i].diags);
-      for (std::size_t k = 0; k < local_used.size(); ++k) {
-        if (local_used[k]) slots[i].used_allow.push_back(k);
-      }
-    });
-  }
-
-  // Merge on the calling thread in ascending path order (§4c).
+std::vector<Diagnostic> LintTree(const std::map<std::string, std::string>& sources,
+                                 const std::vector<AllowEntry>& allow,
+                                 const std::string& allow_path) {
   std::vector<Diagnostic> diags;
   std::vector<bool> used(allow.size(), false);
-  for (std::size_t i = 0; i < n; ++i) {
-    diags.insert(diags.end(), slots[i].diags.begin(), slots[i].diags.end());
-    for (const std::size_t k : slots[i].used_allow) {
-      if (k < used.size()) used[k] = true;
-    }
+  std::map<std::string, LexedFile> files;
+  for (const auto& [path, content] : sources) {
+    const LexedFile& file = files.emplace(path, Lex(path, content)).first->second;
+    CheckFile(file, allow, used, diags);
   }
-
-  // Include-graph rules need only paths + include lists; build stubs so
-  // cached files never re-lex.
-  {
-    std::map<std::string, LexedFile> stubs;
-    for (std::size_t i = 0; i < n; ++i) {
-      LexedFile f;
-      f.path = paths[i];
-      f.includes = slots[i].includes;
-      stubs.emplace(paths[i], std::move(f));
-    }
-    CheckIncludeGraph(stubs, diags);
-  }
+  CheckIncludeGraph(files, diags);
 
   // Allowlist hygiene: unknown rules, stale paths, unused entries. Scoped to
   // top-level directories that were actually scanned so a run without --self
   // never flags tools/ entries.
-  {
-    std::set<std::string> scanned_tops;
-    for (const std::string& p : paths) scanned_tops.insert(p.substr(0, p.find('/')));
-    const std::set<std::string> known(AllRuleNames().begin(), AllRuleNames().end());
-    for (std::size_t k = 0; k < allow.size(); ++k) {
-      const AllowEntry& e = allow[k];
-      if (scanned_tops.count(e.path.substr(0, e.path.find('/'))) == 0) continue;
-      if (known.count(e.rule) == 0) {
-        diags.push_back({kRuleAllowlist, allow_path, e.line, 1,
-                         "unknown rule `" + e.rule +
-                             "` in allowlist entry: the rule no longer exists (see "
-                             "tslint --list-rules)"});
-        continue;
-      }
-      if (sources.find(e.path) == sources.end()) {
-        diags.push_back({kRuleAllowlist, allow_path, e.line, 1,
-                         "stale allowlist entry: `" + e.path + "` was not scanned"});
-        continue;
-      }
-      if (!used[k]) {
-        diags.push_back({kRuleAllowlist, allow_path, e.line, 1,
-                         "unused allowlist entry: `" + e.path + "` tripped no [" + e.rule +
-                             "] diagnostics this run; remove the entry"});
-      }
+  std::set<std::string> scanned_tops;
+  for (const auto& [path, content] : sources) scanned_tops.insert(path.substr(0, path.find('/')));
+  const std::set<std::string> known(AllRuleNames().begin(), AllRuleNames().end());
+  for (std::size_t k = 0; k < allow.size(); ++k) {
+    const AllowEntry& e = allow[k];
+    if (scanned_tops.count(e.path.substr(0, e.path.find('/'))) == 0) continue;
+    if (known.count(e.rule) == 0) {
+      diags.push_back({kRuleAllowlist, allow_path, e.line, 1,
+                       "unknown rule `" + e.rule +
+                           "` in allowlist entry: the rule no longer exists (see "
+                           "tslint --list-rules)"});
+      continue;
+    }
+    if (sources.find(e.path) == sources.end()) {
+      diags.push_back({kRuleAllowlist, allow_path, e.line, 1,
+                       "stale allowlist entry: `" + e.path + "` was not scanned"});
+      continue;
+    }
+    if (!used[k]) {
+      diags.push_back({kRuleAllowlist, allow_path, e.line, 1,
+                       "unused allowlist entry: `" + e.path + "` tripped no [" + e.rule +
+                           "] diagnostics this run; remove the entry"});
     }
   }
 
   std::sort(diags.begin(), diags.end(), [](const Diagnostic& a, const Diagnostic& b) {
     return std::tie(a.file, a.line, a.col, a.rule) < std::tie(b.file, b.line, b.col, b.rule);
   });
-
-  if (!options.cache_path.empty()) {
-    LintCache out_cache;
-    out_cache.allow_digest = allow_digest;
-    out_cache.symbol_digest = symbol_digest;
-    out_cache.include_digest = include_digest;
-    for (std::size_t i = 0; i < n; ++i) {
-      CachedFile cf;
-      cf.digest = slots[i].digest;
-      cf.includes = slots[i].includes;
-      cf.status_functions = slots[i].status_functions;
-      std::set<std::size_t> uniq(slots[i].used_allow.begin(), slots[i].used_allow.end());
-      cf.used_allow.assign(uniq.begin(), uniq.end());
-      cf.diags = slots[i].diags;
-      for (Diagnostic& d : cf.diags) d.file.clear();
-      out_cache.files.emplace(paths[i], std::move(cf));
-    }
-    SaveCache(options.cache_path, out_cache);
-  }
-
-  if (stats_out) *stats_out = stats;
   return diags;
-}
-
-std::vector<Diagnostic> LintTree(const std::map<std::string, std::string>& sources,
-                                 const std::vector<AllowEntry>& allow,
-                                 const std::string& allow_path) {
-  return LintTreeEx(sources, allow, allow_path, LintOptions{}, nullptr);
 }
 
 // ---------------------------------------------------------------------------

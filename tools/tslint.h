@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -104,9 +103,7 @@ inline constexpr const char* kRuleCiteConstants = "cite-constants";
 inline constexpr const char* kRulePoolPurity = "pool-purity";
 inline constexpr const char* kRuleFaultHook = "fault-hook-purity";
 inline constexpr const char* kRuleWorkerCapture = "worker-capture-purity";
-inline constexpr const char* kRuleStatusDiscard = "status-discard";
 inline constexpr const char* kRuleHandleResolution = "handle-resolution-at-construction";
-inline constexpr const char* kRuleDeprecatedShim = "deprecated-window-shim";
 inline constexpr const char* kRuleAllowlist = "allowlist";  // tool hygiene
 
 // Every rule tslint enforces, in documentation order. Allowlist entries whose
@@ -133,16 +130,14 @@ bool IsFaultHookFile(const LexedFile& file);
 // within ±3 lines (tier specs, cost model, media specs, telemetry).
 bool IsCiteDesignated(const std::string& repo_relative_path);
 
-// Per-file rules (everything except include-graph checks and the cross-TU
-// status-discard rule). `allow` is the full allowlist; suppressed diagnostics
-// mark their entry used via `used_allow` (indices into `allow`).
+// Per-file rules (everything except include-graph checks). `allow` is the
+// full allowlist; suppressed diagnostics mark their entry used via
+// `used_allow` (indices into `allow`).
 void CheckFile(const LexedFile& file, const std::vector<AllowEntry>& allow,
                std::vector<bool>& used_allow, std::vector<Diagnostic>& diags);
 
-// Flow-aware rules built on the syntactic layer (tools/tslint_syntax.h).
-// CheckFile runs the first two; status-discard additionally needs the set of
-// Status/StatusOr-returning function names visible to this file through its
-// transitive quoted includes (the cross-TU symbol index).
+// Flow-aware rules built on the syntactic layer (tools/tslint_syntax.h);
+// CheckFile runs both.
 struct SyntaxInfo;  // tools/tslint_syntax.h
 void CheckWorkerCapture(const LexedFile& file, const SyntaxInfo& syntax,
                         const std::vector<AllowEntry>& allow, std::vector<bool>& used_allow,
@@ -150,10 +145,6 @@ void CheckWorkerCapture(const LexedFile& file, const SyntaxInfo& syntax,
 void CheckHandleResolution(const LexedFile& file, const SyntaxInfo& syntax,
                            const std::vector<AllowEntry>& allow, std::vector<bool>& used_allow,
                            std::vector<Diagnostic>& diags);
-void CheckStatusDiscard(const LexedFile& file, const SyntaxInfo& syntax,
-                        const std::set<std::string>& visible_status_symbols,
-                        const std::vector<AllowEntry>& allow, std::vector<bool>& used_allow,
-                        std::vector<Diagnostic>& diags);
 
 // Include-graph rules over the whole scanned set: upward edges, missing
 // repo-relative targets, and cycles (a cycle is reported once per
@@ -161,8 +152,10 @@ void CheckStatusDiscard(const LexedFile& file, const SyntaxInfo& syntax,
 void CheckIncludeGraph(const std::map<std::string, LexedFile>& files,
                        std::vector<Diagnostic>& diags);
 
-// Runs everything over an in-memory tree (path → content). Used by the
-// driver after walking the real tree and by unit tests directly. Appends
+// Runs everything over an in-memory tree (path → content) in one serial
+// pass: each file is lexed and checked in path order, then the include graph
+// and allowlist hygiene run over the whole set. Used by the tslint binary
+// after walking the real tree and by unit tests directly. Appends
 // `allowlist` diagnostics for entries whose path matches no scanned file,
 // whose rule name does not exist, or which suppressed nothing (hygiene is
 // restricted to entries under top-level directories that were scanned, so a
@@ -170,33 +163,6 @@ void CheckIncludeGraph(const std::map<std::string, LexedFile>& files,
 std::vector<Diagnostic> LintTree(const std::map<std::string, std::string>& sources,
                                  const std::vector<AllowEntry>& allow,
                                  const std::string& allow_path);
-
-// Options for the full pipeline. `jobs` > 1 analyzes files in parallel on
-// src/common/thread_pool.h under its own §4c contract: workers write analysis
-// results only into their per-index slot; diagnostics, allowlist usage, and
-// the cross-TU indices merge on the calling thread in ascending path order,
-// so findings are byte-identical at every job count. `cache_path` names the
-// incremental sidecar (tools/tslint_cache.h); with `incremental` set, files
-// whose content digest matches the cache are not re-analyzed unless a
-// cross-TU index (status symbols, include edges) changed, which escalates to
-// a full pass. The cache is rewritten after every run.
-struct LintOptions {
-  int jobs = 1;
-  std::string cache_path;
-  bool incremental = false;
-};
-
-struct LintRunStats {
-  std::size_t total_files = 0;
-  std::size_t analyzed_files = 0;  // lexed + checked this run (cache misses)
-  bool used_cache = false;         // a valid, same-allowlist cache was loaded
-  bool full_cross_tu = false;      // cross-TU index changed → full re-analysis
-};
-
-std::vector<Diagnostic> LintTreeEx(const std::map<std::string, std::string>& sources,
-                                   const std::vector<AllowEntry>& allow,
-                                   const std::string& allow_path, const LintOptions& options,
-                                   LintRunStats* stats);
 
 // ---------------------------------------------------------------------------
 // Driver helpers (filesystem walk, output, self-test)

@@ -1,20 +1,14 @@
 // tslint CLI — see tools/tslint.h and DESIGN.md §4c.
 //
 //   tslint [--root DIR] [--allowlist FILE] [--jsonl FILE|-] [--sarif FILE]
-//          [--jobs N] [--cache FILE] [--incremental] [--self] [--quiet]
-//   tslint --bench [--root DIR] [--cache FILE] [--jobs N]
+//          [--self] [--quiet]
 //   tslint --self-test FIXTURE_ROOT
 //   tslint --list-rules
 //
 // --self adds tools/ to the scan so the linter lints itself under the same
-// rules. --bench times full / parallel / incremental runs over the tree,
-// TS_CHECKs that their findings are byte-identical and that an incremental
-// run on an unchanged tree analyzes zero files, and prints wall/-quarantined
-// timing records to stderr (wall-clock measurements never feed virtual-time
-// results; they are reporting only, DESIGN.md §4b).
+// rules.
 //
 // Exit codes: 0 clean, 1 violations (or self-test failures), 2 usage/IO.
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -22,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/logging.h"
 #include "tools/tslint.h"
 
 namespace {
@@ -30,20 +23,10 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: tslint [--root DIR] [--allowlist FILE] [--jsonl FILE|-] [--sarif FILE]\n"
-               "              [--jobs N] [--cache FILE] [--incremental] [--self] [--quiet]\n"
-               "       tslint --bench [--root DIR] [--cache FILE] [--jobs N]\n"
+               "              [--self] [--quiet]\n"
                "       tslint --self-test FIXTURE_ROOT\n"
                "       tslint --list-rules\n");
   return 2;
-}
-
-std::string JoinJsonl(const std::vector<tierscape::tslint::Diagnostic>& diags) {
-  std::string out;
-  for (const auto& d : diags) {
-    out += tierscape::tslint::ToJsonl(d);
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace
@@ -55,12 +38,8 @@ int main(int argc, char** argv) {
   std::string allow_file;
   std::string jsonl;
   std::string sarif;
-  std::string cache_path;
   std::string self_test_root;
-  int jobs = 1;
-  bool incremental = false;
   bool self = false;
-  bool bench = false;
   bool quiet = false;
   bool list_rules = false;
 
@@ -79,19 +58,8 @@ int main(int argc, char** argv) {
       if (!next(jsonl)) return Usage();
     } else if (arg == "--sarif") {
       if (!next(sarif)) return Usage();
-    } else if (arg == "--cache") {
-      if (!next(cache_path)) return Usage();
-    } else if (arg == "--jobs") {
-      std::string value;
-      if (!next(value)) return Usage();
-      jobs = std::atoi(value.c_str());
-      if (jobs < 1) return Usage();
-    } else if (arg == "--incremental") {
-      incremental = true;
     } else if (arg == "--self") {
       self = true;
-    } else if (arg == "--bench") {
-      bench = true;
     } else if (arg == "--self-test") {
       if (!next(self_test_root)) return Usage();
     } else if (arg == "--quiet") {
@@ -148,65 +116,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<Diagnostic> lint;
-  if (bench) {
-    // Full serial → parallel → incremental over the same tree; findings must
-    // be byte-identical (the §4c merge rule, dogfooded on the linter) and the
-    // incremental run on the unchanged tree must analyze zero files. Timing
-    // is wall-clock and therefore wall/-quarantined: reporting only.
-    if (cache_path.empty()) cache_path = "tslint_bench_cache.txt";
-    const int par_jobs = jobs > 1 ? jobs : 4;
-    using Clock = std::chrono::steady_clock;
-    auto ms_since = [](Clock::time_point t0) {
-      return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-                 Clock::now() - t0)
-          .count();
-    };
-
-    const auto t_full = Clock::now();
-    LintRunStats full_stats;
-    const std::vector<Diagnostic> full = LintTreeEx(
-        scan.sources, allow, "tools/tslint_allow.txt",
-        LintOptions{/*jobs=*/1, cache_path, /*incremental=*/false}, &full_stats);
-    const double full_ms = ms_since(t_full);
-
-    const auto t_par = Clock::now();
-    const std::vector<Diagnostic> parallel =
-        LintTreeEx(scan.sources, allow, "tools/tslint_allow.txt",
-                   LintOptions{par_jobs, /*cache_path=*/"", /*incremental=*/false}, nullptr);
-    const double par_ms = ms_since(t_par);
-
-    const auto t_incr = Clock::now();
-    LintRunStats incr_stats;
-    const std::vector<Diagnostic> incr =
-        LintTreeEx(scan.sources, allow, "tools/tslint_allow.txt",
-                   LintOptions{par_jobs, cache_path, /*incremental=*/true}, &incr_stats);
-    const double incr_ms = ms_since(t_incr);
-
-    TS_CHECK(JoinJsonl(full) == JoinJsonl(parallel))
-        << "tslint findings differ between serial and --jobs " << par_jobs;
-    TS_CHECK(JoinJsonl(full) == JoinJsonl(incr))
-        << "tslint findings differ between full and incremental runs";
-    TS_CHECK(incr_stats.used_cache) << "incremental run did not load the cache";
-    TS_CHECK(incr_stats.analyzed_files == 0)
-        << "incremental run on an unchanged tree analyzed " << incr_stats.analyzed_files
-        << " file(s); expected 0";
-
-    std::fprintf(stderr,
-                 "{\"metric\":\"wall/tslint/full_ms\",\"value\":%.3f,\"files\":%zu}\n",
-                 full_ms, full_stats.total_files);
-    std::fprintf(stderr,
-                 "{\"metric\":\"wall/tslint/parallel_ms\",\"value\":%.3f,\"jobs\":%d}\n",
-                 par_ms, par_jobs);
-    std::fprintf(stderr,
-                 "{\"metric\":\"wall/tslint/incremental_ms\",\"value\":%.3f,"
-                 "\"analyzed_files\":%zu}\n",
-                 incr_ms, incr_stats.analyzed_files);
-    lint = full;
-  } else {
-    lint = LintTreeEx(scan.sources, allow, "tools/tslint_allow.txt",
-                      LintOptions{jobs, cache_path, incremental}, nullptr);
-  }
+  const std::vector<Diagnostic> lint = LintTree(scan.sources, allow, "tools/tslint_allow.txt");
   diags.insert(diags.end(), lint.begin(), lint.end());
 
   if (!jsonl.empty()) {

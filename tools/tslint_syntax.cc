@@ -1,7 +1,6 @@
 #include "tools/tslint_syntax.h"
 
 #include <algorithm>
-#include <cctype>
 
 namespace tierscape {
 namespace tslint {
@@ -313,29 +312,6 @@ void ScanFunctions(const std::vector<Token>& toks, const std::vector<ClassScope>
   }
 }
 
-void ScanStatusFunctions(const std::vector<Token>& toks, SyntaxInfo& out) {
-  for (std::size_t k = 0; k + 1 < toks.size(); ++k) {
-    const Token& t = toks[k];
-    if (!IsIdent(t) || t.in_preprocessor) continue;
-    if (t.text != "Status" && t.text != "StatusOr") continue;
-    if (k > 0 && (IsPunct(toks[k - 1], ".") || IsPunct(toks[k - 1], "->"))) continue;
-    std::size_t j = k + 1;
-    if (t.text == "StatusOr") {
-      if (j >= toks.size() || !IsPunct(toks[j], "<")) continue;
-      const std::size_t m = MatchAngleForward(toks, j);
-      if (m == j) continue;
-      j = m + 1;
-    }
-    while (j + 1 < toks.size() && IsIdent(toks[j]) && IsPunct(toks[j + 1], "::")) j += 2;
-    if (j + 1 >= toks.size() || !IsIdent(toks[j]) || !IsPunct(toks[j + 1], "(")) continue;
-    const std::string& name = toks[j].text;
-    // Functions are PascalCase in this repo (Google style); a lowercase name
-    // here is a direct-initialized variable (`Status s(...)`), not a symbol.
-    if (name.empty() || std::islower(static_cast<unsigned char>(name[0])) != 0) continue;
-    out.status_functions.push_back(name);
-  }
-}
-
 void ScanLambdas(const std::vector<Token>& toks, SyntaxInfo& out) {
   const std::set<std::string>& kw = ControlKeywords();
   for (std::size_t k = 0; k < toks.size(); ++k) {
@@ -481,7 +457,6 @@ SyntaxInfo ScanSyntax(const LexedFile& file) {
   const std::vector<Token>& toks = file.tokens;
   const std::vector<ClassScope> scopes = CollectClassScopes(toks);
   ScanFunctions(toks, scopes, out);
-  ScanStatusFunctions(toks, out);
   ScanLambdas(toks, out);
   return out;
 }

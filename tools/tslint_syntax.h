@@ -3,7 +3,7 @@
 // (including out-of-line definitions, constructors with member-initializer
 // lists, and in-class bodies with their enclosing class), lambda expressions
 // with parsed capture lists, and call-expression receiver chains. The
-// flow-aware rules — worker-capture-purity, status-discard, and
+// flow-aware rules — worker-capture-purity and
 // handle-resolution-at-construction — are built on this layer instead of on
 // raw token windows.
 //
@@ -99,10 +99,6 @@ struct SyntaxInfo {
   // Token indices that are the *name* position of a function declaration or
   // definition — call-site rules skip these (a declaration is not a call).
   std::set<std::size_t> decl_name_tokens;
-  // Unqualified names of functions declared/defined in this file whose
-  // return type is Status or StatusOr<...> (the status-discard symbol index
-  // is the union of these across the scanned tree).
-  std::vector<std::string> status_functions;
 };
 
 // Single recovery pass over a lexed file.
