@@ -27,8 +27,7 @@ double GroupMarginalSlope(const std::vector<MckpChoice>& group, int chosen) {
 
 }  // namespace
 
-AnalyticalPolicy::AnalyticalPolicy(double alpha, MckpSolver::Options solver_options)
-    : alpha_(std::clamp(alpha, 0.0, 1.0)), solver_(solver_options) {
+AnalyticalPolicy::AnalyticalPolicy(double alpha) : alpha_(std::clamp(alpha, 0.0, 1.0)) {
   name_ = "AM(a=" + std::to_string(alpha_).substr(0, 4) + ")";
 }
 
@@ -55,11 +54,6 @@ StatusOr<PlacementDecision> AnalyticalPolicy::Decide(const PlacementInput& input
   } timer{stats_};
   const int n_tiers = model.tiers().count();
 
-  stats_.last_solver_used = false;
-  stats_.last_warm = false;
-  stats_.last_warm_fallback = false;
-  stats_.last_groups_changed = 0;
-  stats_.last_shards = 1;
   stats_.last_marginal_gradient = 0.0;
 
   // Knob endpoints have exact answers (Fig. 5): alpha = 1 keeps everything in
@@ -113,13 +107,7 @@ StatusOr<PlacementDecision> AnalyticalPolicy::Decide(const PlacementInput& input
   const double mts = tco_max - tco_min;
   problem.capacity = tco_min + alpha_ * mts;
 
-  auto solution = incremental_ ? solver_.Solve(problem, &state_, input.changed_hint)
-                               : solver_.Solve(problem);
-  stats_.last_solver_used = true;
-  stats_.last_warm = solver_.stats().warm;
-  stats_.last_warm_fallback = solver_.stats().warm_fallback;
-  stats_.last_groups_changed = solver_.stats().groups_changed;
-  stats_.last_shards = solver_.stats().shards_used;
+  auto solution = solver_.Solve(problem);
   if (!solution.ok()) {
     return solution.status();
   }

@@ -25,14 +25,6 @@ class AnalyticalPolicy : public PlacementPolicy {
     double last_budget = 0.0;      // the TCO cap handed to the solver
     double last_tco_min = 0.0;
     double last_tco_max = 0.0;
-    // Last Decide's solver path (DESIGN.md §4e). last_solver_used is false
-    // for the alpha-endpoint fast paths, which never touch the MCKP solver —
-    // the fields below are only meaningful when it is true.
-    bool last_solver_used = false;
-    bool last_warm = false;              // delta-repair produced the plan
-    bool last_warm_fallback = false;     // incumbent present but full solve ran
-    std::size_t last_groups_changed = 0;  // churn the solver saw this window
-    int last_shards = 1;
     // Marginal TCO-vs-performance gradient of the last plan: the steepest
     // perf_ovh reduction (Eq. 7 ns) available per extra normalized TCO
     // dollar, maximized over every region's unchosen upgrades — the LP
@@ -44,16 +36,15 @@ class AnalyticalPolicy : public PlacementPolicy {
   };
 
   // alpha = 1: maximum performance (all DRAM); alpha = 0: maximum TCO savings.
-  explicit AnalyticalPolicy(double alpha, MckpSolver::Options solver_options = {});
+  explicit AnalyticalPolicy(double alpha);
 
   std::string_view name() const override { return name_; }
   double alpha() const { return alpha_; }
   void set_alpha(double alpha);
 
-  // The analytical model does not special-case the DecisionContext: pinned
-  // regions are enforced downstream by the MigrationFilter's unconditional
-  // pinned class, which keeps the solver inputs — and therefore the §4e
-  // warm-start digests — independent of pin churn.
+  // The analytical model does not special-case the DecisionContext: pins
+  // reach an AM plan only through the MigrationFilter's unconditional pinned
+  // class, which holds every pinned region on its current tier.
   StatusOr<PlacementDecision> Decide(const PlacementInput& input, const CostModel& model,
                                      const DecisionContext& ctx) override;
 
@@ -61,31 +52,12 @@ class AnalyticalPolicy : public PlacementPolicy {
   // DESIGN.md §4d); TsDaemon wires this from its assembly's injector.
   void set_fault_injector(FaultInjector* fault) { solver_.set_fault_injector(fault); }
 
-  // Warm-start incremental solving (DESIGN.md §4e): when enabled, Decide
-  // carries an MckpIncrementalState across windows and passes the caller's
-  // PlacementInput::changed_hint through to the solver. Disabling drops the
-  // incumbent.
-  void set_incremental(bool enabled) {
-    incremental_ = enabled;
-    if (!enabled) {
-      state_.Reset();
-    }
-  }
-  bool incremental() const { return incremental_; }
-
-  // Sharded solving (DESIGN.md §4e); TsDaemon wires the engine's pool.
-  void set_solver_shards(int shards, ThreadPool* pool) { solver_.set_shards(shards, pool); }
-
   const Stats& stats() const { return stats_; }
-  // The underlying solver's per-solve counters for the last Solve call.
-  const MckpSolver::SolveStats& solver_stats() const { return solver_.stats(); }
 
  private:
   double alpha_;
   std::string name_;
   MckpSolver solver_;
-  bool incremental_ = false;
-  MckpIncrementalState state_;
   Stats stats_;
 };
 

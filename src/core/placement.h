@@ -23,13 +23,6 @@ struct PlacementInput {
   // Hotness value at the configured percentile threshold (threshold-based
   // policies promote regions strictly above it).
   double hotness_threshold = 0.0;
-  // Optional warm-start hint, parallel to `regions` (DESIGN.md §4e): 1 marks
-  // a region whose hotness bucket changed since the previous window
-  // (HotnessTable::ChangedBitmap). Borrowed; only meaningful to policies
-  // doing incremental solving, everyone else ignores it. When set, the
-  // caller feeds bucket-stable hotness (HotnessTable::BucketedHotness) so an
-  // unflagged region's inputs really are unchanged.
-  const std::vector<std::uint8_t>* changed_hint = nullptr;
 };
 
 // One destination per input region (parallel to PlacementInput::regions).

@@ -21,10 +21,6 @@ Status DaemonConfig::Validate() const {
     return InvalidArgument("DaemonConfig: local_solver_interference must be >= 0, got " +
                            std::to_string(local_solver_interference));
   }
-  if (solver_shards < 1) {
-    return InvalidArgument("DaemonConfig: solver_shards must be >= 1, got " +
-                           std::to_string(solver_shards));
-  }
   if (mode != DaemonMode::kProfileOnly && mode != DaemonMode::kPlace) {
     return InvalidArgument("DaemonConfig: mode is not a DaemonMode value");
   }
@@ -53,20 +49,13 @@ TsDaemon::TsDaemon(TieringEngine& engine, PlacementPolicy* policy, DaemonConfig 
   if (auto* analytical = dynamic_cast<AnalyticalPolicy*>(policy_)) {
     // Wire the assembly's fault injector into the solver (DESIGN.md §4d).
     analytical->set_fault_injector(engine.tiers().fault());
-    // Warm-start + sharded solving (DESIGN.md §4e): the shard count, not the
-    // pool size, determines the solver's result, so sharing the engine's
-    // pool keeps the workers-into-disjoint-slots invariant intact.
-    analytical->set_incremental(config_.incremental_solver);
-    if (config_.solver_shards > 1) {
-      analytical->set_solver_shards(config_.solver_shards, &engine.thread_pool());
-    }
   }
   for (std::uint64_t region = 0; region < engine.space().total_regions(); ++region) {
     hotness_.Track(region);
   }
   if (config_.fast_path.enabled) {
     // Arms the sampler's streak detector and resolves its own handles.
-    fast_path_ = std::make_unique<FastPath>(config_.fast_path, engine_, hotness_);
+    fast_path_ = std::make_unique<FastPath>(config_.fast_path, engine_);
   }
   MetricsRegistry& metrics = engine.obs().metrics;
   m_windows_ = &metrics.GetCounter("daemon/windows");
@@ -76,9 +65,6 @@ TsDaemon::TsDaemon(TieringEngine& engine, PlacementPolicy* policy, DaemonConfig 
   m_migrated_pages_ = &metrics.GetCounter("daemon/migrated_pages");
   m_solver_solves_ = &metrics.GetCounter("solver/solves");
   m_solver_cells_ = &metrics.GetCounter("solver/cells");
-  m_solver_warm_solves_ = &metrics.GetCounter("solver/warm_solves");
-  m_solver_warm_fallbacks_ = &metrics.GetCounter("solver/warm_fallbacks");
-  m_solver_groups_changed_ = &metrics.GetCounter("solver/groups_changed");
   m_degraded_windows_ = &metrics.GetCounter("fault/daemon/degraded_windows");
   m_solver_fallbacks_ = &metrics.GetCounter("fault/daemon/solver_fallbacks");
   m_unrealized_pages_ = &metrics.GetCounter("fault/daemon/unrealized_pages");
@@ -156,27 +142,15 @@ Status TsDaemon::OnWindowEnd() {
   // serial run).
   if (config_.mode == DaemonMode::kPlace) {
     cost_model_.PrewarmRatios(engine_.space().total_regions());
-    // Incremental mode feeds bucket-stable hotness plus the changed-bucket
-    // bitmap (DESIGN.md §4e) so an unflagged region's solver inputs really
-    // are byte-identical to the previous window's.
-    const bool incremental =
-        config_.incremental_solver && dynamic_cast<AnalyticalPolicy*>(policy_) != nullptr;
     PlacementInput input;
     input.regions.reserve(engine_.space().total_regions());
     for (std::uint64_t region = 0; region < engine_.space().total_regions(); ++region) {
-      input.regions.push_back(
-          RegionProfile{.region = region,
-                        .hotness = incremental ? hotness_.BucketedHotness(region)
-                                               : hotness_.Hotness(region),
-                        .current_tier = engine_.RegionTier(region)});
+      input.regions.push_back(RegionProfile{.region = region,
+                                            .hotness = hotness_.Hotness(region),
+                                            .current_tier = engine_.RegionTier(region)});
     }
     input.hotness_threshold = hotness_.Percentile(config_.threshold_percentile);
     record.hotness_threshold = input.hotness_threshold;
-    std::vector<std::uint8_t> changed_bitmap;
-    if (incremental) {
-      changed_bitmap = hotness_.ChangedBitmap(engine_.space().total_regions());
-      input.changed_hint = &changed_bitmap;
-    }
 
     // Cross-cutting window context (§4h API): the §4d ladder's standing plus
     // the fast path's pins and mid-window activity during the closing window.
@@ -195,9 +169,6 @@ Status TsDaemon::OnWindowEnd() {
     // with the application; a remote solver costs one RPC round trip.
     if (auto* analytical = dynamic_cast<AnalyticalPolicy*>(policy_)) {
       record.solve_ms = analytical->stats().last_solve_ms;
-      record.solver_warm = analytical->stats().last_warm;
-      record.solver_warm_fallback = analytical->stats().last_warm_fallback;
-      record.solver_groups_changed = analytical->stats().last_groups_changed;
       record.marginal_gradient = analytical->stats().last_marginal_gradient;
       m_marginal_gradient_->Set(record.marginal_gradient);
       Nanos solve_cost = 0;
@@ -207,27 +178,17 @@ Status TsDaemon::OnWindowEnd() {
         solve_cost =
             static_cast<Nanos>(record.solve_ms * 1e6 * config_.local_solver_interference);
       } else {
-        // A warm delta-repair only touches the changed groups' cells, so the
-        // §8.4 modeled charge scales with churn instead of instance size.
-        const std::uint64_t cells = analytical->stats().last_warm
-                                        ? record.solver_groups_changed
-                                        : input.regions.size();
-        const Nanos modeled = cells * engine_.tiers().count() * config_.solve_cost_per_cell;
-        solve_cost =
-            static_cast<Nanos>(modeled * config_.local_solver_interference);
+        // §8.4 modeled charge: every (region x tier) cell of the window's
+        // problem, scaled by the CPU interference a local solve causes.
+        const Nanos modeled =
+            input.regions.size() * engine_.tiers().count() * config_.solve_cost_per_cell;
+        solve_cost = static_cast<Nanos>(modeled * config_.local_solver_interference);
       }
       engine_.Compute(solve_cost);
       record.solve_cost_ns = solve_cost;
       charged_overhead_ns_ += solve_cost;
       m_solver_solves_->Add();
       m_solver_cells_->Add(input.regions.size() * engine_.tiers().count());
-      if (record.solver_warm) {
-        m_solver_warm_solves_->Add();
-      }
-      if (record.solver_warm_fallback) {
-        m_solver_warm_fallbacks_->Add();
-      }
-      m_solver_groups_changed_->Add(record.solver_groups_changed);
       m_solve_ns_->Add(solve_cost);
       m_wall_last_solve_ms_->Set(analytical->stats().last_solve_ms);
       m_wall_total_solve_ms_->Set(analytical->stats().total_solve_ms);

@@ -72,17 +72,6 @@ struct DaemonConfig {
   DaemonMode mode = DaemonMode::kPlace;
   // Event-driven sub-window fast path (DESIGN.md §4h); requires kPlace.
   FastPathConfig fast_path;
-  // Warm-start incremental solving (DESIGN.md §4e): feed the analytical
-  // policy bucket-stable hotness (HotnessTable::BucketedHotness) plus the
-  // per-window changed-bucket bitmap so the MCKP solver delta-repairs the
-  // previous window's plan instead of re-solving from scratch. Off by
-  // default: bucketization coarsens the hotness feed, so the artifact
-  // figures keep their exact inputs unless a config opts in.
-  bool incremental_solver = false;
-  // Sharded solving (DESIGN.md §4e): >1 partitions the solver's groups into
-  // this many shards solved on the engine's thread pool. The shard count —
-  // not the pool size — determines the result.
-  int solver_shards = 1;
   FilterConfig filter;
 
   // Rejects nonsensical knobs (zero window, percentile outside [0, 100],
@@ -118,11 +107,6 @@ class TsDaemon {
     bool solver_fallback = false;            // Decide() failed; stale plan used
     std::uint64_t unrealized_pages = 0;      // recommended but not placed
     std::uint64_t migrate_retries = 0;       // transient-store retries charged
-    // Warm-start solver path (DESIGN.md §4e; deterministic, safe for bench
-    // stdout — unlike solve_ms these count solver moves, not wall time).
-    bool solver_warm = false;                 // delta-repair produced the plan
-    bool solver_warm_fallback = false;        // incumbent dropped; full solve ran
-    std::uint64_t solver_groups_changed = 0;  // churn the solver saw
     // Marginal TCO-vs-perf gradient of this window's plan (Eq. 2 shadow
     // price, AnalyticalPolicy::Stats): the perf this tenant could still buy
     // per extra TCO dollar. The multi-tenant utility arbiter reads it as the
@@ -192,9 +176,6 @@ class TsDaemon {
   Counter* m_migrated_pages_ = nullptr;
   Counter* m_solver_solves_ = nullptr;
   Counter* m_solver_cells_ = nullptr;
-  Counter* m_solver_warm_solves_ = nullptr;
-  Counter* m_solver_warm_fallbacks_ = nullptr;
-  Counter* m_solver_groups_changed_ = nullptr;
   Counter* m_degraded_windows_ = nullptr;
   Counter* m_solver_fallbacks_ = nullptr;
   Counter* m_unrealized_pages_ = nullptr;

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <numeric>
 #include <queue>
 
 #include "src/common/logging.h"
-#include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/fault/fault_injector.h"
 
 namespace tierscape {
@@ -39,37 +36,6 @@ struct MckpPruning {
   std::vector<std::vector<int>> dominant;
   std::vector<std::vector<int>> hull;
 };
-
-// Warm-start carry-over (DESIGN.md §4e): everything the delta-repair needs to
-// re-solve only the changed groups. `digest` detects change; `pruning` is
-// reused verbatim for unchanged groups; `choice` plus the per-group chosen
-// contributions let the repair subtract a changed group's old footprint in
-// O(1) without keeping the previous window's rows.
-struct MckpIncrementalState::Impl {
-  bool valid = false;
-  bool prune = true;  // pruning mode the cached lists were built with
-  std::vector<std::uint64_t> digest;  // per-group row digest
-  MckpPruning pruning;
-  std::vector<int> choice;  // the incumbent plan
-  std::vector<double> chosen_cost;
-  std::vector<double> chosen_weight;
-  // min_gain_dw[g]: the smallest weight increase any cost-gaining exchange
-  // from the incumbent choice could cost (+inf when none exists). Lets the
-  // warm improvement pass reject a group on one sequential array read instead
-  // of a row scan — at 10⁶ groups the full-scan round costs ~75 ms to commit
-  // a handful of moves. Exact filter: every gain candidate is strictly
-  // heavier than the incumbent (a no-heavier cheaper sibling would dominate
-  // it), so "even the lightest gain does not fit" rules the group out.
-  std::vector<double> min_gain_dw;
-  double total_cost = 0.0;
-  double total_weight = 0.0;
-  double capacity = 0.0;
-};
-
-MckpIncrementalState::MckpIncrementalState() : impl_(std::make_unique<Impl>()) {}
-MckpIncrementalState::~MckpIncrementalState() = default;
-bool MckpIncrementalState::valid() const { return impl_->valid; }
-void MckpIncrementalState::Reset() { impl_->valid = false; }
 
 namespace {
 
@@ -102,16 +68,7 @@ Status CheckProblem(const MckpProblem& problem) {
   return OkStatus();
 }
 
-// Order-independent work counters a shard worker fills locally; folded into
-// SolveStats on the submitting thread in submission order (thread_pool.h).
-struct PruneCounts {
-  std::size_t choices_total = 0;
-  std::size_t dominated = 0;
-  std::size_t off_hull = 0;
-};
-
-// Reusable PruneGroup workspace: a caller pruning many groups (the cold
-// build, a shard, the warm repair loop) allocates one and the per-call
+// Reusable PruneGroup workspace: BuildPruning allocates one and the per-call
 // vectors keep their capacity instead of round-tripping the allocator — at
 // 10⁶ groups the mallocs, not the sorts, dominate the build.
 struct PrunePoint {
@@ -124,12 +81,10 @@ struct PruneScratch {
 };
 
 // O(m log m). With `enabled` false both lists are the identity, so the solve
-// paths stay branch-free over a single representation. Pure function of the
-// group — safe for pool workers writing disjoint per-group slots (the
-// scratch must then be worker-local).
+// paths stay branch-free over a single representation.
 void PruneGroup(const std::vector<MckpChoice>& group, bool enabled, std::vector<int>& dominant,
-                std::vector<int>& hull, PruneCounts& counts, PruneScratch& scratch) {
-  counts.choices_total += group.size();
+                std::vector<int>& hull, MckpSolver::SolveStats& stats, PruneScratch& scratch) {
+  stats.choices_total += group.size();
   dominant.clear();
   hull.clear();
   if (!enabled || group.size() <= 2) {
@@ -205,14 +160,8 @@ void PruneGroup(const std::vector<MckpChoice>& group, bool enabled, std::vector<
   }
   std::sort(hull.begin(), hull.end());
 
-  counts.dominated += group.size() - dominant.size();
-  counts.off_hull += group.size() - hull.size();
-}
-
-void FoldCounts(const PruneCounts& counts, MckpSolver::SolveStats& stats) {
-  stats.choices_total += counts.choices_total;
-  stats.pruned_dominated += counts.dominated;
-  stats.pruned_off_hull += counts.off_hull;
+  stats.pruned_dominated += group.size() - dominant.size();
+  stats.pruned_off_hull += group.size() - hull.size();
 }
 
 MckpPruning BuildPruning(const MckpProblem& problem, bool enabled,
@@ -220,64 +169,11 @@ MckpPruning BuildPruning(const MckpProblem& problem, bool enabled,
   MckpPruning pruning;
   pruning.dominant.resize(problem.groups.size());
   pruning.hull.resize(problem.groups.size());
-  PruneCounts counts;
   PruneScratch scratch;
   for (std::size_t g = 0; g < problem.groups.size(); ++g) {
-    PruneGroup(problem.groups[g], enabled, pruning.dominant[g], pruning.hull[g], counts, scratch);
+    PruneGroup(problem.groups[g], enabled, pruning.dominant[g], pruning.hull[g], stats, scratch);
   }
-  FoldCounts(counts, stats);
   return pruning;
-}
-
-// 64-bit digest of a group's choice list (bitwise over the doubles): equal
-// rows hash equal, and a changed hotness bucket or pruned choice list flips
-// it with collision probability ~2^-64 — the change detector of the warm
-// path (DESIGN.md §4e).
-std::uint64_t HashGroup(const std::vector<MckpChoice>& group) {
-  std::uint64_t h = SplitMix64(group.size());
-  for (const MckpChoice& choice : group) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &choice.cost, sizeof(bits));
-    h = SplitMix64(h ^ bits);
-    std::memcpy(&bits, &choice.weight, sizeof(bits));
-    h = SplitMix64(h ^ bits);
-  }
-  return h;
-}
-
-// Starts every group in [lo, hi) at its minimum-cost choice (never
-// dominance-pruned: a dominator would have to be at least as cheap with a
-// smaller index) and accumulates the range's totals.
-void SeedMinCost(const MckpProblem& problem, const MckpPruning& pruning, std::size_t lo,
-                 std::size_t hi, std::vector<int>& choice, double& total_weight,
-                 double& total_cost) {
-  for (std::size_t g = lo; g < hi; ++g) {
-    const auto& group = problem.groups[g];
-    const std::vector<int>& keep = pruning.dominant[g];
-    int best = keep.front();
-    for (const int k : keep) {
-      if (group[k].cost < group[best].cost) {
-        best = k;
-      }
-    }
-    choice[g] = best;
-    total_weight += group[best].weight;
-    total_cost += group[best].cost;
-  }
-}
-
-// The smallest weight increase that buys any cost gain from `cur` (+inf when
-// no dominant sibling is cheaper). See Impl::min_gain_dw.
-double MinGainDw(const std::vector<MckpChoice>& group, const std::vector<int>& dominant,
-                 int cur) {
-  const MckpChoice& chosen = group[cur];
-  double min_dw = kInf;
-  for (const int k : dominant) {
-    if (group[k].cost < chosen.cost) {
-      min_dw = std::min(min_dw, group[k].weight - chosen.weight);
-    }
-  }
-  return min_dw;
 }
 
 // A weight-reduction move down the group's hull.
@@ -289,18 +185,11 @@ struct Move {
 };
 
 // Weight-reduction walk, cheapest marginal cost per unit of weight first
-// (the convex-hull walk of the LP relaxation). Groups eligible to move are
-// [lo, hi), or exactly `only` when non-null (the warm path's changed set —
-// budget slack from unchanged groups is carried over because `total_weight`
-// includes their standing contributions). Stops once total_weight fits
-// `capacity` or no eligible move remains; `choice` and the running totals
-// are updated in place and `moves` counts committed moves. `touched`, when
-// non-null, records every group a commit moved (possibly repeated) so the
-// warm path can refresh its carry-over for exactly those.
-void WalkDown(const MckpProblem& problem, const MckpPruning& pruning, std::size_t lo,
-              std::size_t hi, const std::vector<std::size_t>* only, double capacity,
-              std::vector<int>& choice, double& total_weight, double& total_cost,
-              std::size_t& moves, std::vector<std::size_t>* touched) {
+// (the convex-hull walk of the LP relaxation). Stops once total_weight fits
+// the capacity or no move remains; `choice` and the running totals are
+// updated in place and `moves` counts committed moves.
+void WalkDown(const MckpProblem& problem, const MckpPruning& pruning, std::vector<int>& choice,
+              double& total_weight, double& total_cost, std::size_t& moves) {
   auto next_move = [&](std::size_t g) -> Move {
     const auto& group = problem.groups[g];
     const auto& cur = group[choice[g]];
@@ -323,22 +212,13 @@ void WalkDown(const MckpProblem& problem, const MckpPruning& pruning, std::size_
   };
 
   std::priority_queue<Move, std::vector<Move>, std::greater<Move>> heap;
-  auto push_group = [&](std::size_t g) {
+  for (std::size_t g = 0; g < problem.groups.size(); ++g) {
     const Move m = next_move(g);
     if (m.to >= 0) {
       heap.push(m);
     }
-  };
-  if (only != nullptr) {
-    for (const std::size_t g : *only) {
-      push_group(g);
-    }
-  } else {
-    for (std::size_t g = lo; g < hi; ++g) {
-      push_group(g);
-    }
   }
-  while (total_weight > capacity && !heap.empty()) {
+  while (total_weight > problem.capacity && !heap.empty()) {
     const Move m = heap.top();
     heap.pop();
     // The stored move may be stale if the group has moved since; recompute.
@@ -355,9 +235,6 @@ void WalkDown(const MckpProblem& problem, const MckpPruning& pruning, std::size_
     total_cost += group[m.to].cost - group[choice[m.group]].cost;
     choice[m.group] = m.to;
     ++moves;
-    if (touched != nullptr) {
-      touched->push_back(m.group);
-    }
     const Move again = next_move(m.group);
     if (again.to >= 0) {
       heap.push(again);
@@ -366,36 +243,23 @@ void WalkDown(const MckpProblem& problem, const MckpPruning& pruning, std::size_
 }
 
 // Local improvement: spend leftover budget on cost reductions, best gain
-// first per group, until a full pass makes no change or `max_rounds` passes
-// ran. Returns the number of committed improvement (exchange) moves. The
-// warm path bounds this (Options::warm_exchange_rounds) — its incumbent
-// already sits near the efficiency frontier, so a short repair reconverges.
-std::size_t ImprovementPass(const MckpProblem& problem, const MckpPruning& pruning,
-                            std::vector<int>& choice, double& total_weight, double& total_cost,
-                            double capacity, int max_rounds, std::vector<double>* min_gain_dw,
-                            std::vector<std::size_t>* touched) {
-  std::size_t moves = 0;
+// first per group, until a full pass makes no change or kImprovementRounds
+// passes ran.
+constexpr int kImprovementRounds = 8;
+
+void ImprovementPass(const MckpProblem& problem, const MckpPruning& pruning,
+                     std::vector<int>& choice, double& total_weight, double& total_cost) {
   // Rounds after the first revisit only the groups that moved last round (a
   // dirty worklist). This is exactly the full re-scan: every committed move
   // strictly *consumes* budget slack (a cheaper no-heavier sibling would
   // dominate the current choice, so any gain candidate is strictly heavier),
   // so a group left untouched at some visit — no feasible gain under the
   // then-larger slack — can never acquire one until its own choice changes.
-  //
-  // `min_gain_dw` (the warm path's carry, see Impl::min_gain_dw) sharpens the
-  // first round the same way: a group whose lightest gain candidate does not
-  // fit the current slack is rejected on one array read, no row scan. The
-  // caller guarantees it is current for every group; commits keep it so.
-  // `touched` records committed groups for the caller's carry refresh.
   std::vector<std::size_t> dirty;
   std::vector<std::size_t> next_dirty;
-  for (int round = 0; round < max_rounds; ++round) {
+  for (int round = 0; round < kImprovementRounds; ++round) {
     next_dirty.clear();
     auto visit = [&](std::size_t g) {
-      if (min_gain_dw != nullptr &&
-          total_weight + (*min_gain_dw)[g] > capacity * (1.0 + 1e-12)) {
-        return;
-      }
       const auto& group = problem.groups[g];
       const auto& cur = group[choice[g]];
       int best = -1;
@@ -407,7 +271,7 @@ std::size_t ImprovementPass(const MckpProblem& problem, const MckpPruning& pruni
       for (const int k : pruning.dominant[g]) {
         const double dc = cur.cost - group[k].cost;
         const double dw = group[k].weight - cur.weight;
-        if (dc > best_gain && total_weight + dw <= capacity * (1.0 + 1e-12)) {
+        if (dc > best_gain && total_weight + dw <= problem.capacity * (1.0 + 1e-12)) {
           best = k;
           best_gain = dc;
         }
@@ -416,14 +280,7 @@ std::size_t ImprovementPass(const MckpProblem& problem, const MckpPruning& pruni
         total_weight += group[best].weight - cur.weight;
         total_cost -= best_gain;
         choice[g] = best;
-        if (min_gain_dw != nullptr) {
-          (*min_gain_dw)[g] = MinGainDw(group, pruning.dominant[g], best);
-        }
-        if (touched != nullptr) {
-          touched->push_back(g);
-        }
         next_dirty.push_back(g);  // ascending: g visits are in ascending order
-        ++moves;
       }
     };
     if (round == 0) {
@@ -440,12 +297,10 @@ std::size_t ImprovementPass(const MckpProblem& problem, const MckpPruning& pruni
     }
     dirty.swap(next_dirty);
   }
-  return moves;
 }
 
-// Recomputes the solution's totals as fresh group-order sums — kills the
-// floating-point drift incremental updates would otherwise accumulate across
-// warm windows, and makes ValidateSolution's reported-cost check exact.
+// Recomputes the solution's totals as fresh group-order sums of its chosen
+// rows, which makes ValidateSolution's reported-cost check exact.
 void FreshTotals(const MckpProblem& problem, MckpSolution& solution) {
   solution.total_cost = 0.0;
   solution.total_weight = 0.0;
@@ -495,65 +350,6 @@ StatusOr<MckpSolution> MckpSolver::Solve(const MckpProblem& problem) {
     return ResourceExhausted("mckp: no feasible placement (injected)");
   }
   TS_RETURN_IF_ERROR(CheckProblem(problem));
-  stats_.groups_total = problem.groups.size();
-  return SolveCold(problem, nullptr);
-}
-
-StatusOr<MckpSolution> MckpSolver::Solve(const MckpProblem& problem, MckpIncrementalState* state,
-                                         const std::vector<std::uint8_t>* changed_hint) {
-  stats_ = SolveStats{};
-  if (ShouldInjectFault(fault_, FaultSite::kSolverTimeout)) {
-    return DeadlineExceeded("mckp: solve exceeded its window budget (injected)");
-  }
-  if (ShouldInjectFault(fault_, FaultSite::kSolverInfeasible)) {
-    return ResourceExhausted("mckp: no feasible placement (injected)");
-  }
-  stats_.groups_total = problem.groups.size();
-  if (state == nullptr) {
-    TS_RETURN_IF_ERROR(CheckProblem(problem));
-    return SolveCold(problem, nullptr);
-  }
-  MckpIncrementalState::Impl& carry = *state->impl_;
-  const bool compatible = carry.valid && carry.choice.size() == problem.groups.size() &&
-                          carry.prune == options_.prune;
-  if (compatible) {
-    // The full CheckProblem sweep is deferred to the cold path: unchanged
-    // groups carry rows a previous checked solve validated, and SolveWarm
-    // re-validates the changed groups' rows itself. Any problem it cannot
-    // vouch for (bad rows, infeasible budget) aborts into the fallback
-    // below, where CheckProblem reports the canonical error. At 10⁶ groups
-    // the sweep costs more than a quarter of the whole warm window (§6.4).
-    // Capacity must be vetted here: NaN compares false against every running
-    // total, so the warm gates alone would wave it through.
-    if (!(problem.capacity >= 0.0)) {
-      return InvalidArgument("mckp: negative capacity");
-    }
-    auto warm = SolveWarm(problem, *state, changed_hint);
-    if (warm.ok()) {
-      return warm;
-    }
-    // Delta-repair declined (churn, lying hint, or failed validation): run
-    // the full solve. Re-reset the work counters the aborted attempt
-    // accumulated so the reported stats describe the solve that produced the
-    // returned plan, keeping only the churn measurement.
-    const std::size_t groups_changed = stats_.groups_changed;
-    stats_ = SolveStats{};
-    stats_.groups_total = problem.groups.size();
-    stats_.groups_changed = groups_changed;
-    stats_.warm_fallback = true;
-  }
-  TS_RETURN_IF_ERROR(CheckProblem(problem));
-  MckpPruning pruning;
-  auto solution = SolveCold(problem, &pruning);
-  if (solution.ok()) {
-    RefreshState(problem, *solution, &pruning, *state);
-  } else {
-    state->Reset();
-  }
-  return solution;
-}
-
-StatusOr<MckpSolution> MckpSolver::SolveCold(const MckpProblem& problem, MckpPruning* keep) {
   std::size_t pairs = 0;
   for (const auto& group : problem.groups) {
     pairs += group.size();
@@ -569,24 +365,16 @@ StatusOr<MckpSolution> MckpSolver::SolveCold(const MckpProblem& problem, MckpPru
                    : Strategy::kGreedy;
   }
   stats_.used = strategy;
-  if (strategy == Strategy::kGreedy && options_.shards > 1) {
-    return SolveGreedySharded(problem, keep);
+  const MckpPruning pruning = BuildPruning(problem, options_.prune, stats_);
+  if (strategy == Strategy::kGreedy) {
+    return SolveGreedy(problem, pruning);
   }
-  MckpPruning pruning = BuildPruning(problem, options_.prune, stats_);
-  StatusOr<MckpSolution> solution = OkStatus();
-  if (strategy == Strategy::kDp) {
-    solution = SolveDp(problem, pruning);
-    if (!solution.ok() && solution.status().code() == StatusCode::kResourceExhausted) {
-      // The DP rounds weights up; an exact-fit budget can become infeasible
-      // at the chosen resolution. The greedy path uses exact arithmetic.
-      stats_.used = Strategy::kGreedy;
-      solution = SolveGreedy(problem, pruning);
-    }
-  } else {
-    solution = SolveGreedy(problem, pruning);
-  }
-  if (keep != nullptr) {
-    *keep = std::move(pruning);
+  auto solution = SolveDp(problem, pruning);
+  if (!solution.ok() && solution.status().code() == StatusCode::kResourceExhausted) {
+    // The DP rounds weights up; an exact-fit budget can become infeasible at
+    // the chosen resolution. The greedy path uses exact arithmetic.
+    stats_.used = Strategy::kGreedy;
+    return SolveGreedy(problem, pruning);
   }
   return solution;
 }
@@ -690,306 +478,33 @@ StatusOr<MckpSolution> MckpSolver::SolveDp(const MckpProblem& problem,
 
 StatusOr<MckpSolution> MckpSolver::SolveGreedy(const MckpProblem& problem,
                                                const MckpPruning& pruning) {
-  const std::size_t n_groups = problem.groups.size();
+  // Start every group at its minimum-cost choice (never dominance-pruned: a
+  // dominator would have to be at least as cheap with a smaller index).
   MckpSolution solution;
-  solution.choice.assign(n_groups, 0);
+  solution.choice.assign(problem.groups.size(), 0);
   double total_weight = 0.0;
   double total_cost = 0.0;
-  SeedMinCost(problem, pruning, 0, n_groups, solution.choice, total_weight, total_cost);
-  WalkDown(problem, pruning, 0, n_groups, nullptr, problem.capacity, solution.choice,
-           total_weight, total_cost, stats_.greedy_moves, nullptr);
+  for (std::size_t g = 0; g < problem.groups.size(); ++g) {
+    const auto& group = problem.groups[g];
+    int best = pruning.dominant[g].front();
+    for (const int k : pruning.dominant[g]) {
+      if (group[k].cost < group[best].cost) {
+        best = k;
+      }
+    }
+    solution.choice[g] = best;
+    total_weight += group[best].weight;
+    total_cost += group[best].cost;
+  }
+  WalkDown(problem, pruning, solution.choice, total_weight, total_cost, stats_.greedy_moves);
   if (total_weight > problem.capacity * (1.0 + 1e-9)) {
     return ResourceExhausted("mckp: greedy could not meet capacity");
   }
-  ImprovementPass(problem, pruning, solution.choice, total_weight, total_cost, problem.capacity,
-                  8, nullptr, nullptr);
+  ImprovementPass(problem, pruning, solution.choice, total_weight, total_cost);
   solution.total_cost = total_cost;
   solution.total_weight = total_weight;
   solution.optimal = false;
   return solution;
-}
-
-StatusOr<MckpSolution> MckpSolver::SolveGreedySharded(const MckpProblem& problem,
-                                                      MckpPruning* keep) {
-  const std::size_t n_groups = problem.groups.size();
-  const std::size_t n_shards =
-      std::min<std::size_t>(std::max(options_.shards, 1), n_groups);
-  stats_.shards_used = static_cast<int>(n_shards);
-
-  MckpPruning pruning;
-  pruning.dominant.resize(n_groups);
-  pruning.hull.resize(n_groups);
-  MckpSolution solution;
-  solution.choice.assign(n_groups, 0);
-
-  // Per-shard slots: workers compute pure results into their own Shard (and
-  // into the disjoint [lo, hi) slices of `pruning` and `solution.choice`);
-  // every fold into stats_/totals happens below on the submitting thread in
-  // ascending shard order (thread_pool.h invariant), so the result is a
-  // function of the shard count, never the pool size.
-  struct Shard {
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    PruneCounts counts;
-    double min_weight = 0.0;   // sum of per-group minimum weights
-    double seed_weight = 0.0;  // totals at the min-cost seed
-    double seed_cost = 0.0;
-    double weight = 0.0;  // totals after the shard-local walk
-    double cost = 0.0;
-    std::size_t moves = 0;
-  };
-  std::vector<Shard> shards(n_shards);
-  for (std::size_t i = 0; i < n_shards; ++i) {
-    shards[i].lo = n_groups * i / n_shards;
-    shards[i].hi = n_groups * (i + 1) / n_shards;
-  }
-  auto for_each_shard = [&](const std::function<void(std::size_t)>& fn) {
-    if (options_.pool != nullptr && n_shards > 1) {
-      options_.pool->ParallelFor(n_shards, fn);
-    } else {
-      for (std::size_t i = 0; i < n_shards; ++i) {
-        fn(i);
-      }
-    }
-  };
-
-  // Phase 1 (parallel, pure): prune and seed each shard, and collect the
-  // terms of the budget split.
-  for_each_shard([&](std::size_t i) {
-    Shard& shard = shards[i];
-    PruneScratch scratch;  // worker-local: PruneGroup stays a pure per-slot computation
-    for (std::size_t g = shard.lo; g < shard.hi; ++g) {
-      const auto& group = problem.groups[g];
-      PruneGroup(group, options_.prune, pruning.dominant[g], pruning.hull[g], shard.counts,
-                 scratch);
-      double min_weight = kInf;
-      for (const auto& choice : group) {
-        min_weight = std::min(min_weight, choice.weight);
-      }
-      shard.min_weight += min_weight;
-    }
-    SeedMinCost(problem, pruning, shard.lo, shard.hi, solution.choice, shard.seed_weight,
-                shard.seed_cost);
-  });
-
-  // Top-level budget split (sequential, ascending): every shard keeps its
-  // mandatory minimum and receives the global slack in proportion to how
-  // much weight its seed could shed — a uniform cut of the LP-relaxation
-  // frontier when shards are statistically similar; the global repair below
-  // absorbs the imbalance when they are not.
-  double min_total = 0.0;
-  double span_total = 0.0;
-  for (const Shard& shard : shards) {
-    FoldCounts(shard.counts, stats_);
-    min_total += shard.min_weight;
-    span_total += shard.seed_weight - shard.min_weight;
-  }
-  const double slack = problem.capacity - min_total;
-  const double frac = span_total > 0.0 ? std::clamp(slack / span_total, 0.0, 1.0) : 1.0;
-
-  // Phase 2 (parallel, pure): walk each shard down to its budget share.
-  for_each_shard([&](std::size_t i) {
-    Shard& shard = shards[i];
-    shard.weight = shard.seed_weight;
-    shard.cost = shard.seed_cost;
-    const double sub_capacity = shard.min_weight + frac * (shard.seed_weight - shard.min_weight);
-    WalkDown(problem, pruning, shard.lo, shard.hi, nullptr, sub_capacity, solution.choice,
-             shard.weight, shard.cost, shard.moves, nullptr);
-  });
-
-  // Sequential merge in submission order, then top-level repair: a residual
-  // overshoot (float edges of the split) continues the walk globally, and
-  // the improvement pass re-spends slack across shard boundaries.
-  double total_weight = 0.0;
-  double total_cost = 0.0;
-  for (const Shard& shard : shards) {
-    total_weight += shard.weight;
-    total_cost += shard.cost;
-    stats_.greedy_moves += shard.moves;
-  }
-  if (total_weight > problem.capacity) {
-    WalkDown(problem, pruning, 0, n_groups, nullptr, problem.capacity, solution.choice,
-             total_weight, total_cost, stats_.greedy_moves, nullptr);
-  }
-  if (total_weight > problem.capacity * (1.0 + 1e-9)) {
-    return ResourceExhausted("mckp: sharded greedy could not meet capacity");
-  }
-  ImprovementPass(problem, pruning, solution.choice, total_weight, total_cost, problem.capacity,
-                  8, nullptr, nullptr);
-  FreshTotals(problem, solution);
-  solution.optimal = false;
-  if (keep != nullptr) {
-    *keep = std::move(pruning);
-  }
-  return solution;
-}
-
-StatusOr<MckpSolution> MckpSolver::SolveWarm(const MckpProblem& problem,
-                                             MckpIncrementalState& state,
-                                             const std::vector<std::uint8_t>* changed_hint) {
-  MckpIncrementalState::Impl& carry = *state.impl_;
-  const std::size_t n_groups = problem.groups.size();
-
-  // Changed-group detection: the caller's bitmap when provided (with a
-  // deterministic sampled digest cross-check), per-group digests otherwise.
-  std::vector<std::size_t> changed_list;
-  const bool hinted = changed_hint != nullptr && changed_hint->size() == n_groups;
-  if (hinted) {
-    const std::size_t stride = options_.warm_check_stride;
-    if (stride > 0) {
-      for (std::size_t g = stride - 1; g < n_groups; g += stride) {
-        if ((*changed_hint)[g] == 0 && HashGroup(problem.groups[g]) != carry.digest[g]) {
-          // The hint claims this group is unchanged but its rows moved:
-          // discard the hint entirely (it cannot be trusted for any group)
-          // and let the caller's full solve refresh the state.
-          return InvalidArgument("mckp: changed-group hint contradicts group digest");
-        }
-      }
-    }
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      if ((*changed_hint)[g] != 0) {
-        changed_list.push_back(g);
-      }
-    }
-  } else {
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      if (HashGroup(problem.groups[g]) != carry.digest[g]) {
-        changed_list.push_back(g);
-      }
-    }
-  }
-  stats_.groups_changed = changed_list.size();
-  if (static_cast<double>(changed_list.size()) >
-      options_.warm_churn_fallback * static_cast<double>(n_groups)) {
-    return ResourceExhausted("mckp: churn above warm-start threshold");
-  }
-
-  // Delta repair on the incumbent: re-prune and re-seed only the changed
-  // groups; unchanged groups keep their plan, pruning, and contributions.
-  // Every per-group carry slot is refreshed the moment that group's rows or
-  // choice move (and only then): the window's total work — including the
-  // carry-over bookkeeping — is proportional to churn, never to n_groups.
-  double total_weight = carry.total_weight;
-  double total_cost = carry.total_cost;
-  std::vector<int> choice = carry.choice;
-  PruneCounts counts;
-  PruneScratch scratch;
-  for (const std::size_t g : changed_list) {
-    // Changed rows are new to the solver: apply CheckProblem's per-row
-    // validation here (unchanged groups already passed it when the carry-over
-    // was built; Solve skips the full sweep on the warm path).
-    if (problem.groups[g].empty()) {
-      return InvalidArgument("mckp: empty group");
-    }
-    for (const auto& row : problem.groups[g]) {
-      if (row.weight < 0.0 || !std::isfinite(row.cost)) {
-        return InvalidArgument("mckp: bad choice");
-      }
-    }
-    PruneGroup(problem.groups[g], options_.prune, carry.pruning.dominant[g],
-               carry.pruning.hull[g], counts, scratch);
-    carry.digest[g] = HashGroup(problem.groups[g]);
-    total_weight -= carry.chosen_weight[g];
-    total_cost -= carry.chosen_cost[g];
-    SeedMinCost(problem, carry.pruning, g, g + 1, choice, total_weight, total_cost);
-  }
-  FoldCounts(counts, stats_);
-
-  // Hull walk over the changed set first (unchanged groups' budget slack is
-  // carried over in the running totals); only if that cannot reach the new
-  // capacity — shrunk budget, heavy churn — are unchanged groups mobilized.
-  std::vector<std::size_t> walked;
-  if (total_weight > problem.capacity) {
-    WalkDown(problem, carry.pruning, 0, n_groups, &changed_list, problem.capacity, choice,
-             total_weight, total_cost, stats_.greedy_moves, &walked);
-  }
-  if (total_weight > problem.capacity) {
-    WalkDown(problem, carry.pruning, 0, n_groups, nullptr, problem.capacity, choice,
-             total_weight, total_cost, stats_.greedy_moves, &walked);
-  }
-  if (total_weight > problem.capacity * (1.0 + 1e-9)) {
-    return ResourceExhausted("mckp: warm repair could not meet capacity");
-  }
-
-  // Refresh the carry slots of everything the seed/walk moved before the
-  // exchange pass reads min_gain_dw (ImprovementPass requires it current).
-  for (const std::size_t g : changed_list) {
-    const auto& chosen = problem.groups[g][choice[g]];
-    carry.chosen_cost[g] = chosen.cost;
-    carry.chosen_weight[g] = chosen.weight;
-    carry.min_gain_dw[g] = MinGainDw(problem.groups[g], carry.pruning.dominant[g], choice[g]);
-  }
-  for (const std::size_t g : walked) {
-    const auto& chosen = problem.groups[g][choice[g]];
-    carry.chosen_cost[g] = chosen.cost;
-    carry.chosen_weight[g] = chosen.weight;
-    carry.min_gain_dw[g] = MinGainDw(problem.groups[g], carry.pruning.dominant[g], choice[g]);
-  }
-
-  // Bounded exchange repair restores the efficiency frontier across the
-  // changed/unchanged boundary and spends any slack the churn freed.
-  std::vector<std::size_t> improved;
-  stats_.exchange_moves = ImprovementPass(problem, carry.pruning, choice, total_weight,
-                                          total_cost, problem.capacity,
-                                          options_.warm_exchange_rounds, &carry.min_gain_dw,
-                                          &improved);
-  for (const std::size_t g : improved) {
-    const auto& chosen = problem.groups[g][choice[g]];
-    carry.chosen_cost[g] = chosen.cost;
-    carry.chosen_weight[g] = chosen.weight;
-  }
-
-  // The running totals ARE the solution totals: every update above was a
-  // paired subtract/add of exact row values, so their drift off the fresh
-  // ascending-order sum is ~machine-epsilon × ops — orders of magnitude
-  // inside ValidateSolution's reported-cost tolerance (IncrementalSolveTest
-  // cross-checks every warm window with the public ValidateSolution). The
-  // capacity gate below is ValidateSolution's, inlined; choice indices come
-  // from the pruned lists so the bounds check is structural. An O(n)
-  // re-validation sweep here would cost more than the whole repair.
-  MckpSolution solution;
-  solution.choice = std::move(choice);
-  solution.total_cost = total_cost;
-  solution.total_weight = total_weight;
-  solution.optimal = false;
-  if (solution.total_weight > problem.capacity * (1.0 + 1e-9) + 1e-9) {
-    // Caller falls back to the full solve, which rebuilds the carry-over.
-    return FailedPrecondition("mckp: warm repair exceeds capacity");
-  }
-  stats_.used = Strategy::kGreedy;
-  stats_.warm = true;
-
-  // Digests, pruning, and per-group slots for the moved groups were updated
-  // in place above.
-  carry.choice = solution.choice;
-  carry.total_cost = solution.total_cost;
-  carry.total_weight = solution.total_weight;
-  carry.capacity = problem.capacity;
-  return solution;
-}
-
-void MckpSolver::RefreshState(const MckpProblem& problem, const MckpSolution& solution,
-                              MckpPruning* pruning, MckpIncrementalState& state) {
-  MckpIncrementalState::Impl& carry = *state.impl_;
-  const std::size_t n_groups = problem.groups.size();
-  carry.pruning = std::move(*pruning);
-  carry.digest.resize(n_groups);
-  carry.chosen_cost.resize(n_groups);
-  carry.chosen_weight.resize(n_groups);
-  carry.min_gain_dw.resize(n_groups);
-  carry.choice = solution.choice;
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    carry.digest[g] = HashGroup(problem.groups[g]);
-    const auto& chosen = problem.groups[g][solution.choice[g]];
-    carry.chosen_cost[g] = chosen.cost;
-    carry.chosen_weight[g] = chosen.weight;
-    carry.min_gain_dw[g] = MinGainDw(problem.groups[g], carry.pruning.dominant[g], solution.choice[g]);
-  }
-  carry.total_cost = solution.total_cost;
-  carry.total_weight = solution.total_weight;
-  carry.capacity = problem.capacity;
-  carry.prune = options_.prune;
-  carry.valid = true;
 }
 
 }  // namespace tierscape

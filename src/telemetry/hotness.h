@@ -6,14 +6,6 @@
 // hot -> warm -> cold across windows. The percentile helper implements the
 // percentile-based thresholding the evaluation uses instead of static
 // thresholds (§8.1).
-//
-// Bucketized hotness (DESIGN.md §4e): the raw EWMA value changes at *every*
-// window boundary (the halving alone moves it), so any consumer keyed on the
-// exact value sees 100% churn. The table therefore also maintains a log2
-// hotness bucket per region — stable across windows for regions whose
-// sampling rate is steady — plus a per-window changed-bucket flag. The
-// incremental MCKP path consumes the bucketized value and the changed bitmap
-// so its per-window work scales with real churn, not with the halving.
 #ifndef SRC_TELEMETRY_HOTNESS_H_
 #define SRC_TELEMETRY_HOTNESS_H_
 
@@ -30,37 +22,10 @@ class HotnessTable {
   void Track(std::uint64_t region);
 
   // Ages all tracked regions (halves hotness), then folds in the window's
-  // sample counts and refreshes every region's bucket + changed flag.
+  // sample counts.
   void EndWindow(const std::unordered_map<std::uint64_t, std::uint32_t>& window_samples);
 
   double Hotness(std::uint64_t region) const;
-
-  // Log2 bucket of a hotness value: 0 for values below one sample, else
-  // 1 + floor(log2(hotness)). Pure and monotone, so bucket order follows
-  // hotness order.
-  static int BucketOf(double hotness);
-  // Canonical hotness for a bucket (the geometric midpoint of its range):
-  // every region in a bucket maps to the same value, which is what makes
-  // consecutive windows byte-identical for bucket-stable regions.
-  static double BucketValue(int bucket);
-
-  // The region's bucket as of the last EndWindow (0 when never sampled).
-  int Bucket(std::uint64_t region) const;
-  // BucketValue(Bucket(region)) — the stability-preserving hotness feed.
-  double BucketedHotness(std::uint64_t region) const;
-  // True when the region's bucket moved at the last EndWindow (also true for
-  // a region's first window — no previous bucket to be stable against).
-  bool BucketChanged(std::uint64_t region) const;
-  // Marks a region changed for the *next* EndWindow regardless of whether its
-  // bucket moves — the §4h fast path calls this after a mid-window promotion
-  // so the warm-start solver re-solves the region even when its sampling rate
-  // (and thus its bucket) stayed steady. Consumed and cleared by EndWindow.
-  void ForceChanged(std::uint64_t region);
-  // Changed flags for regions [0, n_regions) as a dense bitmap (1 = bucket
-  // changed at the last EndWindow; untracked regions report changed). This is
-  // the warm-start hint handed to MckpSolver::Solve via
-  // PlacementInput::changed_hint.
-  std::vector<std::uint8_t> ChangedBitmap(std::uint64_t n_regions) const;
 
   // Hotness value at the given percentile (0..100) across tracked regions.
   double Percentile(double pct) const;
@@ -72,14 +37,7 @@ class HotnessTable {
   std::uint64_t windows_seen() const { return windows_seen_; }
 
  private:
-  struct BucketState {
-    int bucket = 0;
-    bool changed = true;  // first window counts as a change
-  };
-
   std::unordered_map<std::uint64_t, double> hotness_;
-  std::unordered_map<std::uint64_t, BucketState> buckets_;
-  std::vector<std::uint64_t> forced_changed_;  // pending ForceChanged marks
   std::uint64_t windows_seen_ = 0;
 };
 

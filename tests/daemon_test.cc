@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "src/core/analytical.h"
 #include "src/core/tier_specs.h"
@@ -148,38 +149,41 @@ TEST_F(DaemonFixture, StrayPagesRepackedWhenThresholdCrossed) {
   EXPECT_LT(engine_->PagesPerTier()[0], kPagesPerRegion / 8);
 }
 
-TEST_F(DaemonFixture, IncrementalSolverWarmStartsAfterBucketsSettle) {
-  // DESIGN.md §4e: with incremental_solver on, the daemon feeds the policy
-  // bucket-stable hotness plus the changed-bucket bitmap; once the access
-  // pattern's buckets settle, windows warm-start, report their churn, and
-  // charge the §8.4 modeled cost for the changed cells only.
-  AnalyticalPolicy policy(0.2);
-  DaemonConfig config;
-  config.window_ops = 200;
-  config.incremental_solver = true;
-  config.solver_shards = 2;
-  TsDaemon daemon(*engine_, &policy, config);
-  for (int op = 0; op < 4000; ++op) {
-    engine_->Access((op % 128) * kPageSize, false);
-    ASSERT_TRUE(daemon.Observe(AccessEvent{}).ok());
-  }
-  ASSERT_GE(daemon.history().size(), 10u);
-  EXPECT_FALSE(daemon.history().front().solver_warm);
-  const std::uint64_t regions = daemon.history().front().recommended_pages.empty()
-                                    ? 0
-                                    : engine_->space().total_regions();
-  bool any_warm = false;
-  for (const auto& record : daemon.history()) {
-    if (record.solver_warm) {
-      any_warm = true;
-      EXPECT_LE(record.solver_groups_changed, regions);
-      // Warm windows charge per changed cell, never more than a full solve.
-      EXPECT_LE(record.solve_cost_ns,
-                static_cast<Nanos>(regions) * engine_->tiers().count() *
-                    config.solve_cost_per_cell);
+TEST_F(DaemonFixture, LocalSolveChargesEveryRegionTierCell) {
+  // §8.4 local solve charge: every window pays regions x tiers x
+  // solve_cost_per_cell, scaled by local_solver_interference. Engines without
+  // their own Observability share the process-wide registry, so the counter
+  // checks compare deltas over the run.
+  for (const double interference : {1.0, 0.25}) {
+    SCOPED_TRACE("interference=" + std::to_string(interference));
+    TieredSystem system(StandardMixConfig(64 * kMiB, 128 * kMiB));
+    AddressSpace space;
+    space.Allocate("data", 16 * kMiB, CorpusProfile::kDickens);
+    TieringEngine engine(space, system.tiers(), EngineConfig{.pebs_period = 32});
+    ASSERT_TRUE(engine.PlaceInitial().ok());
+    AnalyticalPolicy policy(0.5);
+    DaemonConfig config;
+    config.window_ops = 500;
+    config.local_solver_interference = interference;
+    MetricsRegistry& metrics = engine.obs().metrics;
+    const RegistrySnapshot before = metrics.Snapshot();
+    TsDaemon daemon(engine, &policy, config);
+    for (int op = 0; op < 2000; ++op) {
+      engine.Access((op % 512) * kPageSize, false);
+      ASSERT_TRUE(daemon.Observe(AccessEvent{}).ok());
     }
+    const RegistrySnapshot delta = MetricsRegistry::Delta(before, metrics.Snapshot());
+
+    const std::uint64_t cells = space.total_regions() * engine.tiers().count();
+    const auto expected =
+        static_cast<Nanos>(cells * config.solve_cost_per_cell * interference);
+    ASSERT_EQ(daemon.history().size(), 4u);
+    for (const auto& record : daemon.history()) {
+      EXPECT_EQ(record.solve_cost_ns, expected) << "window " << record.window;
+    }
+    EXPECT_EQ(delta.Find("solver/cells")->count, 4 * cells);
+    EXPECT_EQ(delta.Find("daemon/solve_ns")->count, 4 * expected);
   }
-  EXPECT_TRUE(any_warm);
 }
 
 }  // namespace

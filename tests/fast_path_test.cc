@@ -1,14 +1,13 @@
 // Event-driven sub-window fast path tests (DESIGN.md §4h): K-hit promotion
 // triggers on the sequential Observe() path, the per-window promotion budget,
 // the ping-pong pin lifecycle through DecisionContext and the migration
-// filter, degradation backpressure on the effective K, the warm-start
-// changed-bitmap coupling, and byte-identical results across engine thread
-// counts (the fast path must stay inside the determinism quarantine).
+// filter, degradation backpressure on the effective K, and byte-identical
+// results across engine thread counts (the fast path must stay inside the
+// determinism quarantine).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,7 +16,6 @@
 #include "src/core/ts_daemon.h"
 #include "src/fault/fault_injector.h"
 #include "src/obs/export.h"
-#include "src/telemetry/hotness.h"
 #include "src/workloads/driver.h"
 #include "src/workloads/masim.h"
 
@@ -232,37 +230,10 @@ TEST(FastPathBackpressure, DegradedWindowsRaiseKThenSuppress) {
   EXPECT_EQ(engine.sampler().streak_threshold(), 2u);
 }
 
-// --- Warm-start coupling ----------------------------------------------------
-
-TEST(FastPathWarmStart, ForceChangedFlagsBitmapForExactlyOneWindow) {
-  HotnessTable table;
-  table.Track(0);
-  table.Track(1);
-  const std::unordered_map<std::uint64_t, std::uint32_t> samples{{0, 8}, {1, 8}};
-  for (int window = 0; window < 12; ++window) {
-    table.EndWindow(samples);
-  }
-  ASSERT_FALSE(table.BucketChanged(0));  // steady sampling -> buckets settled
-  ASSERT_FALSE(table.BucketChanged(1));
-
-  // A forced region reads changed after the next EndWindow even though its
-  // bucket is stable; the untouched region stays unchanged.
-  table.ForceChanged(0);
-  table.EndWindow(samples);
-  EXPECT_TRUE(table.BucketChanged(0));
-  EXPECT_FALSE(table.BucketChanged(1));
-  const std::vector<std::uint8_t> bitmap = table.ChangedBitmap(2);
-  EXPECT_EQ(bitmap[0], 1);
-  EXPECT_EQ(bitmap[1], 0);
-
-  // The force is one-shot: the following window is stable again.
-  table.EndWindow(samples);
-  EXPECT_FALSE(table.BucketChanged(0));
-}
+// --- Determinism ------------------------------------------------------------
 
 // The flash-crowd pattern fig11b runs at full scale, shrunk to test size: the
-// cold range bursts hot mid-run, the fast path promotes mid-window, and every
-// warm boundary that saw promotions re-solves at least the promoted regions.
+// cold range bursts hot mid-run and the fast path promotes mid-window.
 MasimConfig FlashCrowdConfig() {
   MasimConfig config = DefaultMasimConfig(32 * kMiB);
   config.flash_crowd_at_op = 4000;
@@ -270,33 +241,6 @@ MasimConfig FlashCrowdConfig() {
   config.flash_crowd_weight = 300.0;
   return config;
 }
-
-TEST(FastPathWarmStart, PromotionsReachChangedBitmapEndToEnd) {
-  SystemConfig system_config = StandardMixConfig(64 * kMiB, 256 * kMiB);
-  TieredSystem system(system_config);
-  MasimWorkload workload(FlashCrowdConfig());
-  AnalyticalPolicy policy(0.3);
-  ExperimentConfig config;
-  config.ops = 12000;
-  config.target_windows = 6;
-  config.engine.pebs_period = 16;  // dense telemetry so streaks cross K
-  config.daemon.incremental_solver = true;
-  config.daemon.fast_path.enabled = true;
-  const ExperimentResult result = RunExperiment(system, workload, &policy, config);
-
-  std::uint64_t promotions = 0;
-  for (const auto& window : result.windows) {
-    promotions += window.fast_path_promotions;
-    if (window.solver_warm && window.fast_path_promotions > 0) {
-      // ForceChanged marks flow into the warm solve's churn accounting.
-      EXPECT_GE(window.solver_groups_changed, 1u);
-    }
-  }
-  EXPECT_GT(promotions, 0u);
-  EXPECT_EQ(system.obs().metrics.GetCounter("fastpath/promotions").value(), promotions);
-}
-
-// --- Determinism ------------------------------------------------------------
 
 TEST(FastPathDeterminism, ByteIdenticalAcrossEngineThreads) {
   // Engine migrate threads are a wall-clock-only knob; with the fast path

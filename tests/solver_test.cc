@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/solver/mckp.h"
 
 namespace tierscape {
@@ -390,7 +389,6 @@ TEST(MckpSolverTest, StatsResetPerSolve) {
   ASSERT_TRUE(solver.Solve(tiny).ok());
   EXPECT_LT(solver.stats().dp_cells, big_cells);
   EXPECT_EQ(solver.stats().choices_total, 2u);
-  EXPECT_EQ(solver.stats().groups_total, 1u);
 
   // A failed solve reports zero work — not the previous solve's counters.
   MckpProblem infeasible;
@@ -615,200 +613,6 @@ TEST(DpKernelTest, InfeasibleAtResolutionFallsBackToGreedy) {
   options.dp_buckets = 4;
   options.dp_buckets_max = 4;
   EXPECT_FALSE(ExpectDpMatchesReference(problem, "rounded past the budget", options));
-}
-
-// --- Warm-start incremental solving (DESIGN.md §4e) ---
-
-// Re-rolls `count` seeded-random groups' choice lists, marking them in `hint`.
-void ChurnGroups(Rng& rng, MckpProblem& problem, int count, std::vector<std::uint8_t>& hint) {
-  hint.assign(problem.groups.size(), 0);
-  for (int i = 0; i < count; ++i) {
-    const std::size_t g = rng.NextBelow(problem.groups.size());
-    for (auto& choice : problem.groups[g]) {
-      choice.cost = static_cast<double>(rng.NextBelow(1000));
-      choice.weight = static_cast<double>(rng.NextBelow(1000));
-    }
-    hint[g] = 1;
-  }
-}
-
-class IncrementalSolveTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(IncrementalSolveTest, IncrementalMatchesFullSolve) {
-  // W windows of seeded bucket churn: the warm path must stay valid every
-  // window and track the cold solve's total_cost within the rounding bound,
-  // with and without the caller's changed-group hint. A 100%-churn window
-  // forces the fallback, where warm and cold must agree bit-for-bit.
-  Rng rng(4200 + GetParam());
-  MckpProblem problem = RandomProblem(rng, 200, 5);
-  MckpSolver::Options options;
-  options.strategy = MckpSolver::Strategy::kGreedy;  // same machinery both sides
-  MckpSolver warm_hinted(options);
-  MckpSolver warm_digest(options);
-  MckpIncrementalState hinted_state;
-  MckpIncrementalState digest_state;
-  std::vector<std::uint8_t> hint(problem.groups.size(), 1);
-
-  constexpr int kWindows = 12;
-  for (int window = 0; window < kWindows; ++window) {
-    const bool full_churn = window == 7;
-    if (window > 0) {
-      // ~5% churn per regular window; window 7 churns everything.
-      const int count = full_churn ? static_cast<int>(problem.groups.size()) : 10;
-      ChurnGroups(rng, problem, count, hint);
-      if (full_churn) {
-        hint.assign(problem.groups.size(), 1);
-      }
-    }
-    problem.capacity = CapacityAt(problem, 0.35);
-
-    MckpSolver cold(options);
-    auto cold_solution = cold.Solve(problem);
-    ASSERT_TRUE(cold_solution.ok()) << "window " << window;
-    auto hinted = warm_hinted.Solve(problem, &hinted_state, &hint);
-    auto digest = warm_digest.Solve(problem, &digest_state);
-    ASSERT_TRUE(hinted.ok()) << "window " << window;
-    ASSERT_TRUE(digest.ok()) << "window " << window;
-    EXPECT_TRUE(ValidateSolution(problem, *hinted).ok()) << "window " << window;
-    EXPECT_TRUE(ValidateSolution(problem, *digest).ok()) << "window " << window;
-
-    const double bound = cold_solution->total_cost * 0.05 + 1e-6;
-    EXPECT_LE(hinted->total_cost, cold_solution->total_cost + bound) << "window " << window;
-    EXPECT_LE(digest->total_cost, cold_solution->total_cost + bound) << "window " << window;
-
-    if (window == 0) {
-      EXPECT_FALSE(warm_hinted.stats().warm);
-    } else if (full_churn) {
-      // Churn above the threshold: the fallback is the cold path itself.
-      EXPECT_FALSE(warm_hinted.stats().warm);
-      EXPECT_TRUE(warm_hinted.stats().warm_fallback);
-      EXPECT_TRUE(warm_digest.stats().warm_fallback);
-      EXPECT_EQ(hinted->choice, cold_solution->choice);
-      EXPECT_EQ(digest->choice, cold_solution->choice);
-    } else {
-      EXPECT_TRUE(warm_hinted.stats().warm) << "window " << window;
-      EXPECT_TRUE(warm_digest.stats().warm) << "window " << window;
-      EXPECT_LE(warm_hinted.stats().groups_changed, 10u);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSolveTest, ::testing::Range(0, 3));
-
-TEST(MckpSolverTest, WarmLyingHintFallsBackToCold) {
-  // An all-clear hint that contradicts the sampled digest cross-check
-  // (Options::warm_check_stride) must be discarded: the solver runs the full
-  // solve and reports the fallback.
-  Rng rng(99);
-  MckpProblem problem = RandomProblem(rng, 128, 4);
-  MckpSolver::Options options;
-  options.strategy = MckpSolver::Strategy::kGreedy;
-  MckpSolver solver(options);
-  MckpIncrementalState state;
-  ASSERT_TRUE(solver.Solve(problem, &state).ok());
-
-  // Mutate a group the stride-64 cross-check samples (g = 63), then claim
-  // nothing changed.
-  for (auto& choice : problem.groups[63]) {
-    choice.cost += 100.0;
-  }
-  problem.capacity = CapacityAt(problem, 0.35);
-  const std::vector<std::uint8_t> all_clear(problem.groups.size(), 0);
-  auto warm = solver.Solve(problem, &state, &all_clear);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_FALSE(solver.stats().warm);
-  EXPECT_TRUE(solver.stats().warm_fallback);
-  MckpSolver cold(options);
-  auto cold_solution = cold.Solve(problem);
-  ASSERT_TRUE(cold_solution.ok());
-  EXPECT_EQ(warm->choice, cold_solution->choice);
-}
-
-TEST(MckpSolverTest, WarmZeroChurnReusesIncumbent) {
-  Rng rng(123);
-  MckpProblem problem = RandomProblem(rng, 64, 4);
-  MckpSolver::Options options;
-  options.strategy = MckpSolver::Strategy::kGreedy;
-  MckpSolver solver(options);
-  MckpIncrementalState state;
-  auto first = solver.Solve(problem, &state);
-  ASSERT_TRUE(first.ok());
-  auto second = solver.Solve(problem, &state);
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(solver.stats().warm);
-  EXPECT_EQ(solver.stats().groups_changed, 0u);
-  EXPECT_EQ(second->choice, first->choice);
-}
-
-// --- Sharded hierarchical solving (DESIGN.md §4e) ---
-
-TEST(MckpSolverTest, ShardedGreedyDeterministicAcrossPools) {
-  // The shard count — never the pool size — determines the result: serial,
-  // 2-thread, and 4-thread pools must produce byte-identical choices, and
-  // the sharded plan must stay close to the unsharded one.
-  Rng rng(31);
-  const MckpProblem problem = RandomProblem(rng, 500, 5);
-  MckpSolver::Options options;
-  options.strategy = MckpSolver::Strategy::kGreedy;
-  MckpSolver unsharded(options);
-  auto base = unsharded.Solve(problem);
-  ASSERT_TRUE(base.ok());
-
-  std::vector<MckpSolution> sharded;
-  for (const int threads : {0, 1, 2, 4}) {
-    MckpSolver::Options sharded_options = options;
-    sharded_options.shards = 8;
-    ThreadPool pool(std::max(threads, 1));
-    sharded_options.pool = threads == 0 ? nullptr : &pool;
-    MckpSolver solver(sharded_options);
-    auto solution = solver.Solve(problem);
-    ASSERT_TRUE(solution.ok()) << "pool threads " << threads;
-    EXPECT_TRUE(ValidateSolution(problem, *solution).ok());
-    EXPECT_EQ(solver.stats().shards_used, 8);
-    sharded.push_back(*std::move(solution));
-  }
-  for (std::size_t i = 1; i < sharded.size(); ++i) {
-    EXPECT_EQ(sharded[i].choice, sharded[0].choice) << "pool variant " << i;
-  }
-  EXPECT_LE(sharded[0].total_cost, base->total_cost * 1.05 + 1e-6);
-}
-
-TEST(MckpSolverTest, WarmComposesWithShards) {
-  // Sharded cold solve on the first window, warm delta-repair afterwards;
-  // the combination must stay valid and deterministic across pool sizes.
-  Rng rng(77);
-  MckpProblem problem = RandomProblem(rng, 300, 5);
-  std::vector<int> last_choice;
-  for (const int threads : {1, 4}) {
-    Rng churn_rng(500);
-    MckpProblem run_problem = problem;
-    ThreadPool pool(threads);
-    MckpSolver::Options options;
-    options.strategy = MckpSolver::Strategy::kGreedy;
-    options.shards = 4;
-    options.pool = &pool;
-    MckpSolver solver(options);
-    MckpIncrementalState state;
-    std::vector<std::uint8_t> hint;
-    MckpSolution final_solution;
-    for (int window = 0; window < 5; ++window) {
-      if (window > 0) {
-        ChurnGroups(churn_rng, run_problem, 12, hint);
-      }
-      run_problem.capacity = CapacityAt(run_problem, 0.3);
-      auto solution =
-          solver.Solve(run_problem, &state, window > 0 ? &hint : nullptr);
-      ASSERT_TRUE(solution.ok()) << "threads " << threads << " window " << window;
-      EXPECT_TRUE(ValidateSolution(run_problem, *solution).ok());
-      EXPECT_EQ(solver.stats().warm, window > 0) << "window " << window;
-      final_solution = *std::move(solution);
-    }
-    if (last_choice.empty()) {
-      last_choice = final_solution.choice;
-    } else {
-      EXPECT_EQ(final_solution.choice, last_choice);
-    }
-  }
 }
 
 TEST(ValidateSolutionTest, CatchesViolations) {

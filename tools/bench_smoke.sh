@@ -13,9 +13,14 @@
 #   - micro_migration.stdout     prints wall-clock speedups by design
 #   - micro_grid.stdout          prints wall-clock speedups by design
 # (their artifacts ARE still compared). micro_solver keeps its wall-clock
-# speedups on stderr, so its stdout table IS part of the diff. The gbench
+# solve times on stderr, so its stdout table IS part of the diff. The gbench
 # pair (micro_compress/micro_zpool) reports wall time only and is not a grid
 # bench, so it is out of scope here.
+#
+# Every bench runs and every check below runs even after an earlier failure,
+# so one run names everything broken: a bench that exits non-zero or leaves
+# empty stdout, the diff, or a missing wall record. The script then exits 1
+# listing the failures.
 #
 # Usage: tools/bench_smoke.sh [BUILD_DIR] [OUT_DIR]
 set -eu
@@ -30,16 +35,28 @@ fig15_resilience fig16_colocation \
 ablation_cxl_backing ablation_filter ablation_tier_sets micro_migration \
 micro_grid micro_solver"
 
+failed=""
+fail() {
+  echo "[bench_smoke] FAILED: $1"
+  failed="$failed $1"
+}
+
+# Fails unless the THREADS run's BENCH_grid.json has a line matching PATTERN.
+require_record() {
+  grep -q "$2" "$OUT/t$1/BENCH_grid.json" || fail "record $2 (threads=$1)"
+}
+
 rm -rf "$OUT"
 for threads in 1 4; do
   dir="$OUT/t$threads"
   mkdir -p "$dir"
   for b in $GRID_BENCHES; do
     echo "[bench_smoke] $b (threads=$threads)"
-    TIERSCAPE_BENCH_SMOKE=1 TIERSCAPE_BENCH_THREADS=$threads TIERSCAPE_TRACE=1 \
-      TIERSCAPE_OBS_DIR="$dir" TIERSCAPE_BENCH_JSON="$dir/BENCH_grid.json" \
-      "$BUILD_DIR/bench/$b" >"$dir/$b.stdout"
-    test -s "$dir/$b.stdout"
+    if ! TIERSCAPE_BENCH_SMOKE=1 TIERSCAPE_BENCH_THREADS=$threads TIERSCAPE_TRACE=1 \
+        TIERSCAPE_OBS_DIR="$dir" TIERSCAPE_BENCH_JSON="$dir/BENCH_grid.json" \
+        "$BUILD_DIR/bench/$b" >"$dir/$b.stdout" || ! test -s "$dir/$b.stdout"; then
+      fail "$b(threads=$threads)"
+    fi
   done
 done
 
@@ -48,44 +65,40 @@ diff -r \
   -x BENCH_grid.json \
   -x micro_migration.stdout \
   -x micro_grid.stdout \
-  "$OUT/t1" "$OUT/t4"
+  "$OUT/t1" "$OUT/t4" || fail "diff(serial vs 4 threads)"
 
 # Wall-time records must exist and carry one entry per run (content differs).
-test -s "$OUT/t1/BENCH_grid.json"
-test -s "$OUT/t4/BENCH_grid.json"
+for threads in 1 4; do
+  test -s "$OUT/t$threads/BENCH_grid.json" || fail "BENCH_grid.json(threads=$threads)"
+done
 
 # The colocation sweep must emit a wall record for every (policy, tenants)
 # cell — the serial run also flexes the MultiTenantDaemon's own 4-thread pool,
 # so a missing record means a cell silently died (DESIGN.md §4f).
 for threads in 1 4; do
-  grep -q '"bench":"fig16_colocation","cell":"utility@16","wall_ms"' \
-    "$OUT/t$threads/BENCH_grid.json"
-  grep -q '"bench":"fig16_colocation","cell":"static@2","wall_ms"' \
-    "$OUT/t$threads/BENCH_grid.json"
+  require_record $threads '"bench":"fig16_colocation","cell":"utility@16","wall_ms"'
+  require_record $threads '"bench":"fig16_colocation","cell":"static@2","wall_ms"'
 done
 
 # The sub-window fast-path cells (fig11b, DESIGN.md §4h) must emit wall
 # records for the flash-crowd pair and at least one policy pair — a missing
 # record means the fast-path daemon config silently failed to run.
 for threads in 1 4; do
-  grep -q '"bench":"fig11_tail_latency","cell":"fastpath/flash-crowd","wall_ms"' \
-    "$OUT/t$threads/BENCH_grid.json"
-  grep -q '"bench":"fig11_tail_latency","cell":"fastpath/GSwap\*","wall_ms"' \
-    "$OUT/t$threads/BENCH_grid.json"
+  require_record $threads '"bench":"fig11_tail_latency","cell":"fastpath/flash-crowd","wall_ms"'
+  require_record $threads '"bench":"fig11_tail_latency","cell":"fastpath/GSwap\*","wall_ms"'
 done
 
-# The solver scaling curve and both cold DP cells must emit a per-cell
+# The solver's greedy curve and both DP cells must emit a per-cell
 # wall/solver/solve_ms record (the across-PR perf trajectory, EXPERIMENTS.md
-# "Solver scaling curve").
+# "micro_solver").
 for threads in 1 4; do
-  grep -q '"bench":"micro_solver","cell":"cold/n1000","metric":"wall/solver/solve_ms"' \
-    "$OUT/t$threads/BENCH_grid.json"
-  grep -q '"bench":"micro_solver","cell":"warm/n1000","metric":"wall/solver/warm_ms"' \
-    "$OUT/t$threads/BENCH_grid.json"
-  for cell in dp/26x4 dp/256x6; do
-    grep -q '"bench":"micro_solver","cell":"'$cell'","metric":"wall/solver/solve_ms"' \
-      "$OUT/t$threads/BENCH_grid.json"
+  for cell in greedy/n1000 dp/26x4 dp/256x6; do
+    require_record $threads '"bench":"micro_solver","cell":"'$cell'","metric":"wall/solver/solve_ms"'
   done
 done
 
+if [ -n "$failed" ]; then
+  echo "[bench_smoke] FAILED:$failed"
+  exit 1
+fi
 echo "[bench_smoke] OK: all grid benches byte-identical across thread counts"
